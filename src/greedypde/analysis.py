@@ -4,7 +4,7 @@ and singular-value decay of basis-value matrices."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve_triangular, svdvals
 
 from .errors import NumericalError
 
@@ -65,44 +65,11 @@ def condition_estimate(tri) -> float:
     return norm1 * _hager_inverse_norm1(tri)
 
 
-def _jacobi_eigenvalues(G: np.ndarray, tol: float = 1e-10,
-                        max_sweeps: int = 60) -> np.ndarray:
-    """Cyclic Jacobi rotations until the off-diagonal Frobenius norm falls
-    under tol times the matrix norm."""
-    A = G.copy()
-    n = A.shape[0]
-    if n < 2:
-        return np.diag(A).copy()
-    scale = float(np.linalg.norm(A)) or 1.0
-    skip = tol * scale / (10.0 * n)
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(A**2) - np.sum(np.diag(A) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * apq, A[q, q] - A[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-    return np.diag(A).copy()
-
-
 def singular_values(matrix) -> np.ndarray:
-    """Descending singular values, via a cyclic Jacobi eigen-solve of the
-    smaller Gram of the matrix."""
+    """Descending singular values (LAPACK SVD of the matrix itself)."""
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2:
         raise ValueError("singular_values needs a 2-d matrix")
     if min(M.shape) == 0:
         return np.zeros(0)
-    G = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-    eig = _jacobi_eigenvalues(G)
-    return np.sort(np.sqrt(np.clip(eig, 0.0, None)))[::-1]
+    return svdvals(M)

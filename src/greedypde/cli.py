@@ -47,7 +47,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker count (0 = all cores)")
+                       help="worker count (0 = all usable cores)")
         if name == "solve":
             p.add_argument("--basis", required=True,
                            help="directory produced by `build`")
@@ -61,6 +61,15 @@ def _fresh_outdir(out_dir: str) -> str:
     shutil.rmtree(tmp, ignore_errors=True)
     os.makedirs(tmp)
     return tmp
+
+
+def _read_artifact(reader, path: str):
+    """reader(path), with a malformed file reported as a ConfigError that
+    names it."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _problem(cfg: RunConfig):
@@ -131,12 +140,10 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         write_functionals(os.path.join(tmp, "selected.txt"),
                           [fset.entries[i] for i in state.selected])
         runio.write_matrix_csv(os.path.join(tmp, "cmatrix.csv"), state.c_matrix())
-        basis = solver.evaluate_basis(state, fset, spec, grid.points, workers=workers)
-        p2 = solver.power_on_deltas(state, basis, spec)
         runio.write_table_csv(
             os.path.join(tmp, "powergrid.csv"),
             ["x1", "x2", "p2_delta"],
-            [grid.points[:, 0], grid.points[:, 1], p2],
+            [grid.points[:, 0], grid.points[:, 1], trace.grid_power],
         )
         runio.write_params(os.path.join(tmp, "kernel.txt"),
                            {"m": cfg.m, "d": cfg.d, "scale": cfg.scale})
@@ -153,16 +160,21 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     kernel_path = os.path.join(basis_dir, "kernel.txt")
     if not os.path.exists(kernel_path):
         raise ConfigError(f"basis: {basis_dir!r} does not look like a build output")
-    params = runio.read_params(kernel_path)
+    params = _read_artifact(runio.read_params, kernel_path)
     ours = {"m": cfg.m, "d": cfg.d, "scale": cfg.scale}
     if any(params.get(k) != v for k, v in ours.items()):
         raise ConfigError(
             f"kernel parameters of the basis {params} do not match the config {ours}"
         )
     spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
-    entries = read_functionals(os.path.join(basis_dir, "selected.txt"))
-    cmat = runio.read_matrix_csv(os.path.join(basis_dir, "cmatrix.csv"))
-    state = restore_state(FunctionalSet(entries), cmat, spec)
+    fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)),
+                          os.path.join(basis_dir, "selected.txt"))
+    cmat_path = os.path.join(basis_dir, "cmatrix.csv")
+    cmat = _read_artifact(runio.read_matrix_csv, cmat_path)
+    if cmat.shape != (len(fset), len(fset)):
+        raise ConfigError(f"{cmat_path}: shape {cmat.shape} does not match the "
+                          f"{len(fset)} functionals of selected.txt")
+    state = restore_state(fset, cmat, spec)
     problem = _problem(cfg)
     workers = resolve_workers(cfg.workers)
 
@@ -210,7 +222,7 @@ def cmd_report(cfg: RunConfig, out_dir: str) -> None:
     trace_path = os.path.join(out_dir, "trace.csv")
     if not os.path.exists(trace_path):
         raise ConfigError(f"report: no trace.csv under {out_dir!r}")
-    trace = runio.read_trace_csv(trace_path)
+    trace = _read_artifact(runio.read_trace_csv, trace_path)
     _write_analysis(out_dir, trace)
 
 

@@ -29,7 +29,7 @@ class RunConfig:
     grid_spacing: float = 0.025
     y_size: int = 1000
     rho_every: int = 1
-    workers: int = 0  # 0 = all cores; block results are worker-count invariant
+    workers: int = 0  # 0 = cores in the affinity mask; results are worker-count invariant
     out_dir: str = "greedy_run"
     problem: str = "gaussian"
     problem_center: tuple[float, float] = (-math.pi / 10.0, 0.0)

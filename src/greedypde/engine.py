@@ -10,7 +10,9 @@ plus |Lambda| kernel evaluations.
 
 The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
-over an evaluation point set peaks on the boundary.
+over an evaluation point set peaks on the boundary.  Given an evaluation
+grid, the loop also deflates the delta power P^2(delta_x) over the grid one
+basis row at a time and hands the final values back in the trace.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from .errors import Converged, InvalidSelectionError, NumericalError
 from .functionals import (
     FunctionalSet,
     dual_inner_column,
-    riesz_value,
+    riesz_row,
     self_inner_column,
 )
 from .geometry import EvalGrid, fill_distance
 from .kernels import KernelSpec, kernel_value
-from .parallel import map_blocks
 
 # Power drop factor under which a second orthogonalization pass runs
 # (twice-is-enough Gram-Schmidt).
@@ -38,6 +39,18 @@ REORTH_THRESHOLD = 1e-6
 
 # Relative residual floor: anything below -1e-6 * diag signals a broken Gram.
 _NEGATIVE_FLOOR = 1e-6
+
+# Rows allocated up front for the per-step arrays; they double when full.
+_INITIAL_CAPACITY = 16
+
+
+def _with_capacity(arr: np.ndarray, cap: int, n: int, axes: int = 1) -> np.ndarray:
+    """Zero array whose first `axes` axes have length cap, holding the
+    leading n entries of arr along them."""
+    out = np.zeros((cap,) * axes + arr.shape[axes:])
+    keep = (slice(0, n),) * axes
+    out[keep] = arr[keep]
+    return out
 
 
 class GreedyState:
@@ -49,10 +62,20 @@ class GreedyState:
         self.diag = self_inner_column(fset, spec)
         self.residual_power = self.diag.copy()
         self.selected: list[int] = []
+        self._columns = np.zeros((_INITIAL_CAPACITY, len(fset)))
+        self._c = np.zeros((_INITIAL_CAPACITY, _INITIAL_CAPACITY))
+
+    @classmethod
+    def from_coefficients(cls, fset: FunctionalSet, spec: KernelSpec,
+                          c_matrix: np.ndarray) -> GreedyState:
+        """State whose selection is the whole set, in order, with the given
+        N x N coefficient matrix (only its lower triangle is kept)."""
+        state = cls(fset, spec)
         n = len(fset)
-        self._cap = 16
-        self._columns = np.zeros((self._cap, n))
-        self._c = np.zeros((self._cap, self._cap))
+        state._columns = np.zeros((n, n))
+        state._c = np.tril(c_matrix)
+        state.selected = list(range(n))
+        return state
 
     @property
     def n(self) -> int:
@@ -75,14 +98,12 @@ class GreedyState:
         """Floats allocated in the bulk arrays (storage-contract counter)."""
         return self._columns.size + self._c.size + self.diag.size + self.residual_power.size
 
-    def _grow(self) -> None:
-        n = len(self.fset)
-        cap = self._cap * 2
-        cols = np.zeros((cap, n))
-        cols[: self.n] = self._columns[: self.n]
-        c = np.zeros((cap, cap))
-        c[: self.n, : self.n] = self._c[: self.n, : self.n]
-        self._cap, self._columns, self._c = cap, cols, c
+    def _reserve_row(self) -> None:
+        """Make room for one more selected functional."""
+        n = self.n
+        if n == len(self._c):
+            self._columns = _with_capacity(self._columns, 2 * n, n)
+            self._c = _with_capacity(self._c, 2 * n, n, axes=2)
 
 
 def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
@@ -91,23 +112,15 @@ def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
 
 
 def restore_state(fset: FunctionalSet, c_matrix, spec: KernelSpec) -> GreedyState:
-    """State stub for solving with a stored basis: the whole set is the
-    selection, in order, with the given coefficient matrix.
+    """State of a stored basis: the whole set is the selection, in order,
+    with the given N x N coefficient matrix.
 
-    Newton columns and residual powers are not reconstructed; the result
-    supports the solver operations (basis evaluation, data transforms) but
-    not further greedy steps.
+    Newton columns and residual powers are not reconstructed, so the state
+    serves the solver (basis evaluation, data transforms) and takes no
+    further greedy steps.  The caller checks that C matches the set.
     """
-    c_matrix = np.atleast_2d(np.asarray(c_matrix, dtype=float))
-    n = len(fset)
-    if c_matrix.shape != (n, n):
-        raise ValueError(f"coefficient matrix shape {c_matrix.shape} != ({n}, {n})")
-    state = GreedyState(fset, spec)
-    while state._cap < n:
-        state._grow()
-    state._c[:n, :n] = np.tril(c_matrix)
-    state.selected = list(range(n))
-    return state
+    return GreedyState.from_coefficients(
+        fset, spec, np.atleast_2d(np.asarray(c_matrix, dtype=float)))
 
 
 def _threshold(state: GreedyState, stop_tol: float) -> float:
@@ -140,8 +153,7 @@ def select_extended(state: GreedyState, delta_power_max: float,
     return select_standard(state, stop_tol)
 
 
-def extend(state: GreedyState, chosen: int, fset: FunctionalSet | None = None,
-           spec: KernelSpec | None = None, workers: int = 1) -> GreedyState:
+def extend(state: GreedyState, chosen: int, workers: int = 1) -> GreedyState:
     """Add the chosen functional: new C row, new Newton column over the whole
     set, deflated residual powers.
 
@@ -149,20 +161,18 @@ def extend(state: GreedyState, chosen: int, fset: FunctionalSet | None = None,
     (lam, mu_new); a second orthogonalization pass runs when the power drop
     factor residual/diag falls below REORTH_THRESHOLD.
     """
-    fset = fset if fset is not None else state.fset
-    spec = spec if spec is not None else state.spec
     r = float(state.residual_power[chosen])
     if r <= 0.0 or chosen in state.selected:
         raise InvalidSelectionError(
             f"functional {chosen} has no residual power left (P^2 = {r!r})"
         )
     N = state.n
-    if N == state._cap:
-        state._grow()
+    state._reserve_row()
     cols = state._columns[:N]
     ctri = state._c[:N, :N]
 
-    w = dual_inner_column(fset.entries[chosen], fset, spec, workers=workers)
+    w = dual_inner_column(state.fset.entries[chosen], state.fset, state.spec,
+                          workers=workers)
     proj = cols[:, chosen].copy()
     if N:
         w -= proj @ cols
@@ -201,7 +211,8 @@ class RunTrace:
 
     `rho` is NaN at steps where the evaluation grid was not synced.
     `boundary_power_max` (max residual power over the boundary deltas) and
-    `ratio_rho_sigma` are in-memory diagnostics, not part of the CSV schema.
+    `grid_power` (final P^2(delta_x) per evaluation-grid point, None without
+    a grid) are in-memory results, not part of the CSV schema.
     """
 
     steps: np.ndarray
@@ -212,13 +223,14 @@ class RunTrace:
     h_boundary: np.ndarray
     cond_c: np.ndarray
     boundary_power_max: np.ndarray | None = field(default=None, repr=False)
+    grid_power: np.ndarray | None = field(default=None, repr=False)
 
     def boundary_count(self) -> int:
         return sum(1 for k in self.kind if k == "B")
 
 
 class _GridTracker:
-    """Incremental basis values and residual delta powers on a point grid.
+    """Residual delta powers on a point grid, deflated one basis row at a time.
 
     Rows are brought up to date lazily: row k only needs the C row of step k
     and the raw representer rows of steps <= k, so deferred syncing produces
@@ -226,40 +238,26 @@ class _GridTracker:
     """
 
     def __init__(self, grid: EvalGrid, spec: KernelSpec, workers: int = 1):
-        self.grid = grid
+        self.points = grid.points
         self.spec = spec
         self.workers = workers
         p = len(grid)
-        self.kxx = kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d))
-        self.residual = np.full(p, self.kxx)
-        self._cap = 16
-        self._raw = np.zeros((self._cap, p))
-        self._rows = np.zeros((self._cap, p))
+        self.residual = np.full(p, kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d)))
+        self._raw = np.zeros((_INITIAL_CAPACITY, p))
         self.n_raw = 0
         self.n_done = 0
 
     def append_selected(self, f) -> None:
-        if self.n_raw == self._cap:
-            cap = self._cap * 2
-            for name in ("_raw", "_rows"):
-                arr = np.zeros((cap, len(self.grid)))
-                arr[: self.n_raw] = getattr(self, name)[: self.n_raw]
-                setattr(self, name, arr)
-            self._cap = cap
-        pts = self.grid.points
-
-        def block(lo, hi):
-            return riesz_value(f, pts[lo:hi], self.spec)
-
-        self._raw[self.n_raw] = map_blocks(block, len(pts), self.workers)
+        if self.n_raw == len(self._raw):
+            self._raw = _with_capacity(self._raw, 2 * self.n_raw, self.n_raw)
+        self._raw[self.n_raw] = riesz_row(f, self.points, self.spec, self.workers)
         self.n_raw += 1
 
     def sync(self, state: GreedyState) -> None:
-        """Compute pending basis rows and deflate the grid residual."""
+        """Deflate the grid residual by the pending basis rows."""
         upto = min(state.n, self.n_raw)
         for k in range(self.n_done, upto):
             row = state._c[k, : k + 1] @ self._raw[: k + 1]
-            self._rows[k] = row
             np.maximum(self.residual - row**2, 0.0, out=self.residual)
         self.n_done = max(self.n_done, upto)
 
@@ -278,9 +276,9 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
 
     Stops at n_max or when the residual power drops to stop_tol * max(diag).
     `eval_grid` enables the rho column (recorded every rho_every steps and at
-    step n_max) and is required in extended mode, where `y_indices` restricts
-    the interior evaluation points considered for selection (default: all of
-    them).
+    step n_max) and the final `grid_power`, and is required in extended mode,
+    where `y_indices` restricts the interior evaluation points considered for
+    selection (default: all of them).
     """
     if mode not in ("standard", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -322,7 +320,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
             break
 
         is_boundary = not fset.domain_mask[chosen]
-        extend(state, chosen, fset, spec, workers=workers)
+        extend(state, chosen, workers=workers)
         if tracker is not None:
             tracker.append_selected(fset.entries[chosen])
 
@@ -353,6 +351,9 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         rows["bmax"].append(float(state.residual_power[bnd_idx].max()) if bnd_idx.size
                             else math.nan)
 
+    if tracker is not None:
+        tracker.sync(state)
+
     n_steps = len(rows["sigma"])
     trace = RunTrace(
         steps=np.arange(1, n_steps + 1),
@@ -363,5 +364,6 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         h_boundary=np.array(rows["h_boundary"]),
         cond_c=np.array(rows["cond_c"]),
         boundary_power_max=np.array(rows["bmax"]),
+        grid_power=tracker.residual if tracker is not None else None,
     )
     return state, trace

@@ -167,6 +167,13 @@ def riesz_value(f: Functional, x, spec: KernelSpec):
     return f.weight * laplacian_y(spec, np.asarray(x, dtype=float), p)
 
 
+def riesz_row(f: Functional, points: np.ndarray, spec: KernelSpec,
+              workers: int = 1) -> np.ndarray:
+    """v_f over an (n, d) point array, evaluated block-parallel."""
+    return map_blocks(lambda lo, hi: riesz_value(f, points[lo:hi], spec),
+                      len(points), workers)
+
+
 # ---------------------------------------------------------------------------
 # analytic test solutions
 

@@ -12,10 +12,13 @@ _MIN_PARALLEL = 16384
 
 
 def resolve_workers(workers: int) -> int:
-    """0 means all available cores."""
-    if workers <= 0:
-        return os.cpu_count() or 1
-    return workers
+    """0 means all cores this process may run on (its affinity mask where
+    the platform has one)."""
+    if workers > 0:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def map_blocks(fn, n: int, workers: int = 1) -> np.ndarray:

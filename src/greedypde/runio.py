@@ -78,6 +78,8 @@ def read_matrix_csv(path) -> np.ndarray:
             line = line.strip()
             if line:
                 rows.append([float(v) for v in line.split(",")])
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("matrix rows have different lengths")
     return np.array(rows, dtype=float)
 
 
@@ -122,6 +124,8 @@ def read_params(path) -> dict:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
+            if "=" not in line:
+                raise ValueError(f"expected 'key = value', got {line!r}")
             k, v = (p.strip() for p in line.split("=", 1))
             try:
                 out[k] = int(v)

@@ -16,9 +16,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .engine import GreedyState
 from .errors import NumericalError
-from .functionals import FunctionalSet, gram, riesz_value
+from .functionals import FunctionalSet, gram, riesz_row, riesz_value
 from .kernels import KernelSpec, kernel_value
-from .parallel import map_blocks
 
 
 @dataclass
@@ -45,16 +44,11 @@ def evaluate_basis(state: GreedyState, fset: FunctionalSet | None = None,
     fset = fset if fset is not None else state.fset
     spec = spec if spec is not None else state.spec
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-
-    def raw_row(f):
-        return map_blocks(lambda lo, hi: riesz_value(f, pts[lo:hi], spec),
-                          len(pts), workers)
-
-    raw = np.array([raw_row(fset.entries[i]) for i in state.selected])
-    if len(state.selected) == 0:
+    if state.n == 0:
         return BasisEvaluation(points=pts, values=np.zeros((0, len(pts))))
-    values = state.c_matrix() @ raw
-    return BasisEvaluation(points=pts, values=values)
+    raw = np.array([riesz_row(fset.entries[i], pts, spec, workers)
+                    for i in state.selected])
+    return BasisEvaluation(points=pts, values=state.c_matrix() @ raw)
 
 
 def power_on_deltas(state: GreedyState, basis_eval: BasisEvaluation,
@@ -67,14 +61,13 @@ def power_on_deltas(state: GreedyState, basis_eval: BasisEvaluation,
 
 
 def data_to_newton(state: GreedyState, data) -> np.ndarray:
-    """Orthonormal coefficients mu_k(u) from raw data lam_k(u) through the
-    triangular system."""
+    """Orthonormal coefficients mu_k(u) = sum_j C[k,j] lam_j(u) from the raw
+    data lam_j(u)."""
     data = np.asarray(data, dtype=float)
     n = state.n
     if data.shape != (n,):
         raise ValueError(f"expected data of length {n}, got shape {data.shape}")
-    ctri = state._c
-    return np.array([ctri[k, : k + 1] @ data[: k + 1] for k in range(n)])
+    return state.c_matrix() @ data
 
 
 def project(state: GreedyState, data) -> ProjectionSolution:

@@ -1,19 +1,23 @@
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from greedypde.cli import main
 from greedypde.config import RunConfig, load_config, parse_config
+from greedypde.engine import restore_state
 from greedypde.errors import ConfigError
-from greedypde.functionals import read_functionals
+from greedypde.functionals import FunctionalSet, read_functionals
+from greedypde.kernels import KernelSpec
 from greedypde.runio import (
     read_matrix_csv,
     read_table_csv,
     read_trace_csv,
     write_matrix_csv,
 )
+from greedypde.solver import evaluate_basis, power_on_deltas
 
 SMALL_CFG = """\
 # desk config scaled way down for test speed
@@ -114,6 +118,10 @@ def test_build_artifacts_round_trip(built):
     header, tbl = read_table_csv(os.path.join(out, "powergrid.csv"))
     assert header == ["x1", "x2", "p2_delta"]
     assert np.all(tbl[:, 2] >= 0)
+    # the tracked grid power equals a recomputation from the stored basis
+    state = restore_state(FunctionalSet(selected), C, KernelSpec(m=5, d=2))
+    oracle = power_on_deltas(state, evaluate_basis(state, points=tbl[:, :2]))
+    assert np.abs(tbl[:, 2] - oracle).max() <= 1e-12
 
 
 def test_build_refuses_existing_output(built):
@@ -193,6 +201,44 @@ def test_solve_rejects_non_basis_directory(built, tmp_path):
     rc = main(["solve", "--config", built["cfg"], "--basis", str(tmp_path),
                "--out", str(tmp_path / "s3")])
     assert rc == 2
+
+
+def _drop_last_line(text):
+    return "".join(text.splitlines(True)[:-1])
+
+
+def _drop_last_entry_of_second_line(text):
+    lines = text.splitlines(True)
+    lines[1] = lines[1].rsplit(",", 1)[0] + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("command,name,corrupt", [
+    ("solve", "cmatrix.csv", _drop_last_line),
+    ("solve", "cmatrix.csv", _drop_last_entry_of_second_line),
+    ("solve", "cmatrix.csv", lambda t: "abc" + t[t.index(","):]),
+    ("solve", "selected.txt", lambda t: "Q" + t[1:]),
+    ("solve", "kernel.txt", lambda t: t + "junk\n"),
+    ("report", "trace.csv", lambda t: t.replace("cond_C", "cond", 1)),
+], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
+        "selected-unknown-kind", "kernel-no-equals", "trace-bad-header"])
+def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
+                                                command, name, corrupt):
+    basis = str(tmp_path / "basis")
+    shutil.copytree(built["out"], basis)
+    path = os.path.join(basis, name)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(corrupt(text))
+    capsys.readouterr()
+    if command == "solve":
+        argv = ["solve", "--config", built["cfg"], "--basis", basis,
+                "--out", str(tmp_path / "s")]
+    else:
+        argv = ["report", "--config", built["cfg"], "--out", basis]
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

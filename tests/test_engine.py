@@ -20,6 +20,8 @@ from greedypde.functionals import (
 )
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import KernelSpec
+from greedypde.parallel import resolve_workers
+from greedypde.solver import evaluate_basis, power_on_deltas
 
 SPEC = KernelSpec(m=4, d=2)
 
@@ -223,6 +225,23 @@ def test_deferred_rho_matches_eager_values():
     assert set(np.nonzero(recorded)[0] + 1) == {7, 14, 20}
 
 
+def test_grid_power_matches_basis_oracle_after_early_stop():
+    geometry = disk_candidates(60, 10)
+    fset = disk_functional_set(geometry)
+    grid = evaluation_grid(geometry, 0.1)
+    state, trace = run(fset, SPEC, n_max=len(fset), stop_tol=1e-2,
+                       eval_grid=grid, rho_every=7)
+    # stopped on Converged between two rho steps, so only the final sync
+    # brings the last rows into the grid power
+    assert state.n < len(fset)
+    assert not np.isfinite(trace.rho[-1])
+    oracle = power_on_deltas(state, evaluate_basis(state, points=grid.points))
+    assert np.abs(trace.grid_power - oracle).max() <= 1e-12
+
+    _, no_grid = run(fset, SPEC, n_max=5)
+    assert no_grid.grid_power is None
+
+
 def test_fill_distance_columns(small_run):
     trace = small_run["trace"]
     # h_boundary only moves on boundary steps, and never upward
@@ -254,6 +273,16 @@ def test_workers_do_not_change_results():
     s2, _ = run(fset, SPEC, n_max=15, workers=4)
     assert s1.selected == s2.selected
     assert np.array_equal(s1.residual_power, s2.residual_power)
+
+
+def test_resolve_workers_counts_affinity_mask(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3, 5},
+                        raising=False)
+    assert resolve_workers(0) == 3
+    assert resolve_workers(2) == 2
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    assert resolve_workers(0) == 64
 
 
 def test_boundary_weight_biases_selection():
