@@ -107,12 +107,31 @@ def dual_inner(a: Functional, b: Functional, spec: KernelSpec) -> float:
 
 def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
                       workers: int = 1) -> np.ndarray:
-    """(lam, f) for every lam in the set, as one vector over set order."""
+    """(lam, f) for every lam in the set, as one vector over set order.
+
+    Before weighting, (lam, f) depends only on the kind of lam and on
+    ||lam - f||, and candidate lattices repeat distances, so each distinct
+    (kind, distance) pair is evaluated once, at its first candidate, and
+    gathered back.  The kernel evaluators are pure functions of the distance,
+    so the result is exactly the per-candidate one.
+    """
     p = np.asarray(f.point, dtype=float)
+    dist = np.linalg.norm(fset.points - p, axis=-1)
+    reps = []
+    where = np.empty(len(fset), dtype=int)
+    offset = 0
+    for mask in (fset.domain_mask, ~fset.domain_mask):
+        idx = np.flatnonzero(mask)
+        _, first, inverse = np.unique(dist[idx], return_index=True,
+                                      return_inverse=True)
+        where[idx] = offset + inverse
+        offset += len(first)
+        reps.append(idx[first])
+    reps = np.concatenate(reps)
 
     def block(lo, hi):
-        pts = fset.points[lo:hi]
-        dm = fset.domain_mask[lo:hi]
+        pts = fset.points[reps[lo:hi]]
+        dm = fset.domain_mask[reps[lo:hi]]
         out = np.empty(hi - lo)
         if f.kind == DOMAIN_OP_DELTA:
             if dm.any():
@@ -124,10 +143,9 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
                 out[dm] = laplacian_y(spec, pts[dm], p)
             if (~dm).any():
                 out[~dm] = kernel_value(spec, pts[~dm], p)
-        out *= f.weight * fset.weights[lo:hi]
         return out
 
-    return map_blocks(block, len(fset), workers)
+    return map_blocks(block, len(reps), workers)[where] * (f.weight * fset.weights)
 
 
 def self_inner_column(fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:

@@ -17,7 +17,20 @@ Laplacian applied to one or both kernel arguments,
 with t = ||x - y|| / scale.  Negative orders use K_{-mu} = K_mu; the terms
 with a t^2 or t^4 prefactor stay finite at t = 0 for every valid smoothness
 (nu > 2).  All evaluators broadcast over trailing point axes and are pure
-functions, so concurrent use is safe.
+functions of t, so concurrent use is safe and equal radii give equal values.
+
+One Bessel stack serves every evaluator (`_phi_terms`).  For integer nu
+(every even d, so the shipped d = 2) the orders |nu - k| are integers, and
+the stack takes K_0 = kv(0, t) and K_1 = kv(1, t) and climbs with the upward
+recurrence K_{n+1} = K_{n-1} + (2n/t) K_n (DLMF 10.29.1; stable upward for
+K).  The factor 2n/t is accumulated as rz, rz + rz, ... with rz = 2/t.  That
+is the arithmetic of the AMOS routine behind scipy's kv, which computes K_n
+from the same two seeds the same way, so every stack entry equals kv(n, t)
+bit for bit and the evaluators return exactly what per-order kv calls
+return; forming 2n/t or n*(2/t) directly rounds differently and drifts by an
+ulp from K_4 on.  A Laplacian thus costs two kv calls whatever nu is.
+Non-integer orders (odd d) and single-order requests such as kernel_value
+call kv once per order.
 """
 
 from __future__ import annotations
@@ -31,6 +44,10 @@ from scipy.special import kv
 # Below this scaled radius r^mu K_mu(r) is replaced by its analytic limit:
 # the removable singularity is the only regime where the product cancels.
 _LIMIT_RADIUS = 1e-8
+
+# kv (AMOS) rescales its recurrence against underflow above t ~ 664.87, and
+# from there it no longer rounds like the plain recurrence; K_0(600) ~ 1e-262.
+_RECURRENCE_MAX = 600.0
 
 
 @dataclass(frozen=True)
@@ -98,27 +115,49 @@ def _phi_limit(mu: float) -> float:
     return 2.0 ** (mu - 1.0) * math.gamma(mu)
 
 
-def _phi(mu: float, t: np.ndarray) -> np.ndarray:
-    """phi_mu(t) = t^mu K_|mu|(t) elementwise; analytic limit below the
-    crossover radius for mu > 0, +inf there for mu <= 0."""
-    out = np.empty_like(t)
-    small = t < _LIMIT_RADIUS
-    out[small] = _phi_limit(mu) if mu > 0 else np.inf
-    big = ~small
-    tt = t[big]
-    out[big] = tt**mu * kv(abs(mu), tt)
-    return out
+def _bessel_orders(orders, t: np.ndarray) -> list[np.ndarray]:
+    """[K_o(t) for o in orders], for orders o >= 0 and t > 0.
+
+    A single distinct order, or any non-integer order, is one kv call per
+    order.  Otherwise K_0 and K_1 come from kv and the higher orders from
+    the recurrence K_{n+1} = ck K_n + K_{n-1} with ck accumulated as
+    rz, rz + rz, ... (rz = 2/t): kv's own arithmetic, so each value equals
+    kv(n, t) bit for bit.  Past _RECURRENCE_MAX kv rescales against
+    underflow and the orders above 1 are taken from kv again.
+    """
+    if len(set(orders)) == 1 or not all(float(o).is_integer() for o in orders):
+        return [kv(o, t) for o in orders]
+    top = int(max(orders))
+    stack = [kv(0, t), kv(1, t)]
+    rz = 2.0 / t
+    ck = rz
+    for _ in range(top - 1):
+        stack.append(ck * stack[-1] + stack[-2])
+        ck = ck + rz
+    far = t > _RECURRENCE_MAX
+    if top > 1 and far.any():
+        for n in range(2, top + 1):
+            stack[n][far] = kv(n, t[far])
+    return [stack[int(o)] for o in orders]
 
 
-def _phi_prefactored(power: int, mu: float, t: np.ndarray) -> np.ndarray:
-    """t^power * phi_mu(t), which tends to 0 at t = 0 whenever
-    power + 2*min(mu, 0) > 0; every Laplacian term satisfies that."""
-    if power + 2 * min(mu, 0.0) <= 0:
-        raise ValueError("prefactor too weak to cancel the K_mu singularity")
-    out = np.zeros_like(t)
+def _phi_terms(t: np.ndarray, terms) -> list[np.ndarray]:
+    """[t^power phi_mu(t) for (power, mu) in terms], elementwise over t >= 0,
+    with every K_|mu| taken from one _bessel_orders call.
+
+    Below _LIMIT_RADIUS a term takes its t -> 0 limit: 0 when power > 0
+    (every Laplacian term has power + 2 min(mu, 0) > 0, so the prefactor
+    wins), else 2^(mu-1) Gamma(mu) for mu > 0 and +inf for mu <= 0.
+    """
     big = t >= _LIMIT_RADIUS
     tt = t[big]
-    out[big] = tt ** (power + mu) * kv(abs(mu), tt)
+    bessel = _bessel_orders([abs(mu) for _, mu in terms], tt)
+    out = []
+    for (power, mu), k in zip(terms, bessel):
+        v = np.empty_like(t)
+        v[~big] = 0.0 if power else (_phi_limit(mu) if mu > 0 else np.inf)
+        v[big] = tt ** (power + mu) * k
+        out.append(v)
     return out
 
 
@@ -140,8 +179,7 @@ def radial_stack(spec: KernelSpec, r: float) -> RadialStack:
         raise ValueError("radius must be nonnegative")
     t = float(r) / spec.scale
     orders = tuple(spec.nu - k for k in range(5))
-    tarr = np.array([t])
-    values = np.array([_phi(mu, tarr)[0] for mu in orders])
+    values = np.array([v[0] for v in _phi_terms(np.array([t]), [(0, mu) for mu in orders])])
     singular = np.array([t < _LIMIT_RADIUS and mu <= 0 for mu in orders])
     return RadialStack(radius=t, orders=orders, values=values, singular=singular)
 
@@ -149,16 +187,16 @@ def radial_stack(spec: KernelSpec, r: float) -> RadialStack:
 def kernel_value(spec: KernelSpec, x, y):
     """K(x, y) = phi_nu(||x - y|| / scale); symmetric, broadcasts over points."""
     t = _scaled_distance(spec, x, y)
-    v = _phi(spec.nu, np.atleast_1d(t))
+    (v,) = _phi_terms(np.atleast_1d(t), [(0, spec.nu)])
     return float(v[0]) if t.ndim == 0 else v
 
 
 def laplacian_y(spec: KernelSpec, x, y):
     """Delta_y K(x, y); equals Delta_x K(x, y) by radial symmetry."""
     t = _scaled_distance(spec, x, y)
-    t1 = np.atleast_1d(t)
     nu, d = spec.nu, spec.d
-    v = (_phi_prefactored(2, nu - 2, t1) - d * _phi(nu - 1, t1)) / spec.scale**2
+    a, b = _phi_terms(np.atleast_1d(t), [(2, nu - 2), (0, nu - 1)])
+    v = (a - d * b) / spec.scale**2
     return float(v[0]) if t.ndim == 0 else v
 
 
@@ -169,11 +207,7 @@ def bilaplacian(spec: KernelSpec, x, y):
     d(d+2) phi_{nu-2}(0) / scale^4.
     """
     t = _scaled_distance(spec, x, y)
-    t1 = np.atleast_1d(t)
     nu, d = spec.nu, spec.d
-    v = (
-        _phi_prefactored(4, nu - 4, t1)
-        - 2.0 * (d + 2) * _phi_prefactored(2, nu - 3, t1)
-        + d * (d + 2) * _phi(nu - 2, t1)
-    ) / spec.scale**4
+    a, b, c = _phi_terms(np.atleast_1d(t), [(4, nu - 4), (2, nu - 3), (0, nu - 2)])
+    v = (a - 2.0 * (d + 2) * b + d * (d + 2) * c) / spec.scale**4
     return float(v[0]) if t.ndim == 0 else v

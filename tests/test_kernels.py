@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpstrf
+from scipy.special import kv
 
+from greedypde import kernels
 from greedypde.kernels import (
     KernelSpec,
     bessel_k,
@@ -122,6 +124,79 @@ def test_stack_monotone_decreasing_for_positive_orders():
 def test_stack_rejects_negative_radius():
     with pytest.raises(ValueError):
         radial_stack(SPEC42, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# the shared Bessel stack against one kv call per order
+
+
+def _phi_per_order(mu, t):
+    out = np.empty_like(t)
+    small = t < 1e-8
+    out[small] = 2.0 ** (mu - 1.0) * math.gamma(mu) if mu > 0 else np.inf
+    tt = t[~small]
+    out[~small] = tt**mu * kv(abs(mu), tt)
+    return out
+
+
+def _phi_prefactored_per_order(power, mu, t):
+    out = np.zeros_like(t)
+    big = t >= 1e-8
+    tt = t[big]
+    out[big] = tt ** (power + mu) * kv(abs(mu), tt)
+    return out
+
+
+def per_order_evaluators(spec, x, y):
+    """kernel_value, laplacian_y and bilaplacian with one kv call per order."""
+    t = np.linalg.norm(x - y, axis=-1) / spec.scale
+    nu, d = spec.nu, spec.d
+    value = _phi_per_order(nu, t)
+    lap = (_phi_prefactored_per_order(2, nu - 2, t)
+           - d * _phi_per_order(nu - 1, t)) / spec.scale**2
+    bilap = (
+        _phi_prefactored_per_order(4, nu - 4, t)
+        - 2.0 * (d + 2) * _phi_prefactored_per_order(2, nu - 3, t)
+        + d * (d + 2) * _phi_per_order(nu - 2, t)
+    ) / spec.scale**4
+    return value, lap, bilap
+
+
+@given(m=st.integers(min_value=4, max_value=9), d=st.sampled_from([1, 2, 3]),
+       scale=st.sampled_from([0.05, 1.0, 3.0]),
+       radii=st.lists(st.floats(min_value=1e-8, max_value=50.0), max_size=20),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(m=9, d=2, scale=0.05, radii=[33.0, 34.0, 49.5], seed=0)  # t past the kv rescaling
+@example(m=4, d=2, scale=3.0, radii=[1e-8, 2.9e-8, 3.1e-8], seed=1)  # around the limit radius
+def test_stack_equals_per_order_kv_exactly(m, d, scale, radii, seed):
+    spec = KernelSpec(m=m, d=d, scale=scale)
+    # hypothesis favours round radii, on which differently rounded recurrences
+    # can agree; the log-uniform draw supplies generic ones
+    spread = np.exp(np.random.default_rng(seed).uniform(math.log(1e-8), math.log(50.0), 200))
+    r = np.concatenate([[0.0], radii, spread])  # t = 0 takes the analytic limits
+    x = np.zeros((len(r), d))
+    y = np.zeros((len(r), d))
+    y[:, 0] = r
+    expected = per_order_evaluators(spec, x, y)
+    for fn, want in zip((kernel_value, laplacian_y, bilaplacian), expected):
+        assert np.array_equal(fn(spec, x, y), want), fn.__name__
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_kv_calls_per_evaluation(monkeypatch, rng, m):
+    calls = []
+
+    def counting_kv(order, t):
+        calls.append(order)
+        return kv(order, t)
+
+    monkeypatch.setattr(kernels, "kv", counting_kv)
+    spec = KernelSpec(m=m, d=2)
+    x, y = random_pairs(rng, 200)
+    for fn, most in ((laplacian_y, 2), (bilaplacian, 2), (kernel_value, 1)):
+        calls.clear()
+        fn(spec, x, y)
+        assert 1 <= len(calls) <= most, (fn.__name__, calls)
 
 
 # ---------------------------------------------------------------------------
