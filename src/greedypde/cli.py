@@ -72,6 +72,19 @@ def _read_artifact(reader, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _read_c_matrix(path: str) -> np.ndarray:
+    """cmatrix.csv, checked to be a valid Newton change of basis: finite and
+    lower-triangular with a strictly positive diagonal."""
+    cmat = runio.read_matrix_csv(path)
+    if not np.isfinite(cmat).all():
+        raise ValueError("C has a non-finite entry")
+    if np.triu(cmat, 1).any():
+        raise ValueError("C is not lower-triangular")
+    if not (np.diagonal(cmat) > 0.0).all():
+        raise ValueError("C needs a strictly positive diagonal")
+    return cmat
+
+
 def _problem(cfg: RunConfig):
     if cfg.problem == "gaussian":
         return GaussianBump(center=cfg.problem_center, shape=cfg.problem_shape)
@@ -170,7 +183,7 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)),
                           os.path.join(basis_dir, "selected.txt"))
     cmat_path = os.path.join(basis_dir, "cmatrix.csv")
-    cmat = _read_artifact(runio.read_matrix_csv, cmat_path)
+    cmat = _read_artifact(_read_c_matrix, cmat_path)
     if cmat.shape != (len(fset), len(fset)):
         raise ConfigError(f"{cmat_path}: shape {cmat.shape} does not match the "
                           f"{len(fset)} functionals of selected.txt")
@@ -188,6 +201,10 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
 
     partial = np.cumsum(mu[:, None] * basis.values, axis=0)
     errors = np.abs(u_true[None, :] - partial).max(axis=1)
+    if not errors[0] > 0.0:
+        raise ConfigError(
+            f"problem: the error at N=1 is {errors[0]!r} on the evaluation grid, "
+            "so errors.csv has nothing to normalize by")
     normalized = errors / errors[0]
     steps = np.arange(1, state.n + 1)
 

@@ -203,6 +203,19 @@ def test_solve_rejects_non_basis_directory(built, tmp_path):
     assert rc == 2
 
 
+def test_solve_refuses_zero_first_error(built, tmp_path, capsys):
+    # a bump this narrow underflows to 0 at every grid point and functional,
+    # so every error is 0 and normalized_error would be 0/0
+    cfg = write_cfg(tmp_path, SMALL_CFG + "problem_shape = 1e9\n"
+                    "problem_center = 0.0123, 0.0456\n", "flat.cfg")
+    out = tmp_path / "s4"
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--basis", built["out"],
+                 "--out", str(out)]) == 2
+    assert "errors.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _drop_last_line(text):
     return "".join(text.splitlines(True)[:-1])
 
@@ -213,14 +226,29 @@ def _drop_last_entry_of_second_line(text):
     return "".join(lines)
 
 
+def _set_entry(i, j, value):
+    def corrupt(text):
+        rows = [line.split(",") for line in text.splitlines()]
+        rows[i][j] = value
+        return "".join(",".join(row) + "\n" for row in rows)
+    return corrupt
+
+
 @pytest.mark.parametrize("command,name,corrupt", [
     ("solve", "cmatrix.csv", _drop_last_line),
     ("solve", "cmatrix.csv", _drop_last_entry_of_second_line),
     ("solve", "cmatrix.csv", lambda t: "abc" + t[t.index(","):]),
+    ("solve", "cmatrix.csv", _set_entry(3, 1, "nan")),
+    ("solve", "cmatrix.csv", _set_entry(3, 1, "-inf")),
+    ("solve", "cmatrix.csv", _set_entry(1, 3, "0.5")),
+    ("solve", "cmatrix.csv", _set_entry(2, 2, "0")),
+    ("solve", "cmatrix.csv", _set_entry(2, 2, "-0.25")),
     ("solve", "selected.txt", lambda t: "Q" + t[1:]),
     ("solve", "kernel.txt", lambda t: t + "junk\n"),
     ("report", "trace.csv", lambda t: t.replace("cond_C", "cond", 1)),
 ], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
+        "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
+        "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
         "selected-unknown-kind", "kernel-no-equals", "trace-bad-header"])
 def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
                                                 command, name, corrupt):
