@@ -180,8 +180,11 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
             f"kernel parameters of the basis {params} do not match the config {ours}"
         )
     spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
-    fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)),
-                          os.path.join(basis_dir, "selected.txt"))
+    selected_path = os.path.join(basis_dir, "selected.txt")
+    fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)), selected_path)
+    if fset.points.shape[1] != spec.d:
+        raise ConfigError(f"{selected_path}: points have {fset.points.shape[1]} "
+                          f"coordinates, the kernel needs d = {spec.d}")
     cmat_path = os.path.join(basis_dir, "cmatrix.csv")
     cmat = _read_artifact(_read_c_matrix, cmat_path)
     if cmat.shape != (len(fset), len(fset)):

@@ -244,12 +244,14 @@ def _set_entry(i, j, value):
     ("solve", "cmatrix.csv", _set_entry(2, 2, "0")),
     ("solve", "cmatrix.csv", _set_entry(2, 2, "-0.25")),
     ("solve", "selected.txt", lambda t: "Q" + t[1:]),
+    ("solve", "selected.txt", lambda t: t.replace("\n", " 0.5\n")),
     ("solve", "kernel.txt", lambda t: t + "junk\n"),
     ("report", "trace.csv", lambda t: t.replace("cond_C", "cond", 1)),
 ], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
         "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
         "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
-        "selected-unknown-kind", "kernel-no-equals", "trace-bad-header"])
+        "selected-unknown-kind", "selected-wrong-dimension", "kernel-no-equals",
+        "trace-bad-header"])
 def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
                                                 command, name, corrupt):
     basis = str(tmp_path / "basis")
