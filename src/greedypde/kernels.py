@@ -27,10 +27,12 @@ K).  The factor 2n/t is accumulated as rz, rz + rz, ... with rz = 2/t.  That
 is the arithmetic of the AMOS routine behind scipy's kv, which computes K_n
 from the same two seeds the same way, so every stack entry equals kv(n, t)
 bit for bit and the evaluators return exactly what per-order kv calls
-return; forming 2n/t or n*(2/t) directly rounds differently and drifts by an
-ulp from K_4 on.  A Laplacian thus costs two kv calls whatever nu is.
-Non-integer orders (odd d) and single-order requests such as kernel_value
-call kv once per order.
+return (tests/test_kernels.py holds them to that).  Forming 2n/t or n*(2/t)
+directly rounds differently: from K_4 on it is an ulp off for about a fifth
+of the radii.  Above t = 600, where kv rescales against underflow, the
+orders above 1 are taken from kv again.  A Laplacian or bilaplacian thus
+costs two kv calls whatever nu is.  Non-integer orders (odd d) and
+single-order requests such as kernel_value call kv once per order.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ def _bessel_orders(orders, t: np.ndarray) -> list[np.ndarray]:
     order.  Otherwise K_0 and K_1 come from kv and the higher orders from
     the recurrence K_{n+1} = ck K_n + K_{n-1} with ck accumulated as
     rz, rz + rz, ... (rz = 2/t): kv's own arithmetic, so each value equals
-    kv(n, t) bit for bit.  Past _RECURRENCE_MAX kv rescales against
-    underflow and the orders above 1 are taken from kv again.
+    kv(n, t) bit for bit.  Above _RECURRENCE_MAX, a margin below where kv
+    starts rescaling against underflow, orders above 1 come from kv again.
     """
     if len(set(orders)) == 1 or not all(float(o).is_integer() for o in orders):
         return [kv(o, t) for o in orders]
@@ -179,7 +181,8 @@ def radial_stack(spec: KernelSpec, r: float) -> RadialStack:
         raise ValueError("radius must be nonnegative")
     t = float(r) / spec.scale
     orders = tuple(spec.nu - k for k in range(5))
-    values = np.array([v[0] for v in _phi_terms(np.array([t]), [(0, mu) for mu in orders])])
+    terms = _phi_terms(np.array([t]), [(0, mu) for mu in orders])
+    values = np.array([v[0] for v in terms])
     singular = np.array([t < _LIMIT_RADIUS and mu <= 0 for mu in orders])
     return RadialStack(radius=t, orders=orders, values=values, singular=singular)
 

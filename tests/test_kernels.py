@@ -166,13 +166,15 @@ def per_order_evaluators(spec, x, y):
        scale=st.sampled_from([0.05, 1.0, 3.0]),
        radii=st.lists(st.floats(min_value=1e-8, max_value=50.0), max_size=20),
        seed=st.integers(min_value=0, max_value=2**32 - 1))
-@example(m=9, d=2, scale=0.05, radii=[33.0, 34.0, 49.5], seed=0)  # t past the kv rescaling
-@example(m=4, d=2, scale=3.0, radii=[1e-8, 2.9e-8, 3.1e-8], seed=1)  # around the limit radius
+# t past kv's underflow rescaling, and t around the limit radius
+@example(m=9, d=2, scale=0.05, radii=[33.0, 34.0, 49.5], seed=0)
+@example(m=4, d=2, scale=3.0, radii=[1e-8, 2.9e-8, 3.1e-8], seed=1)
 def test_stack_equals_per_order_kv_exactly(m, d, scale, radii, seed):
     spec = KernelSpec(m=m, d=d, scale=scale)
     # hypothesis favours round radii, on which differently rounded recurrences
     # can agree; the log-uniform draw supplies generic ones
-    spread = np.exp(np.random.default_rng(seed).uniform(math.log(1e-8), math.log(50.0), 200))
+    rng = np.random.default_rng(seed)
+    spread = np.exp(rng.uniform(math.log(1e-8), math.log(50.0), 200))
     r = np.concatenate([[0.0], radii, spread])  # t = 0 takes the analytic limits
     x = np.zeros((len(r), d))
     y = np.zeros((len(r), d))
