@@ -137,7 +137,7 @@ def _bessel_orders(orders, t: np.ndarray) -> list[np.ndarray]:
         stack.append(ck * stack[-1] + stack[-2])
         ck = ck + rz
     far = t > _RECURRENCE_MAX
-    if top > 1 and far.any():
+    if far.any():
         for n in range(2, top + 1):
             stack[n][far] = kv(n, t[far])
     return [stack[int(o)] for o in orders]
