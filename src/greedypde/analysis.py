@@ -3,11 +3,8 @@ and singular-value decay of basis-value matrices."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-from scipy.linalg import svdvals
-from scipy.linalg.lapack import dtrcon
+from scipy.linalg import solve_triangular, svdvals
 
 from .errors import NumericalError
 
@@ -34,21 +31,38 @@ def fit_rate(xs, ys, window: tuple[float, float] | None = None) -> float:
     return float(np.polyfit(np.log(xs[mask]), np.log(ys[mask]), 1)[0])
 
 
+def _hager_inverse_norm1(tri: np.ndarray, max_iter: int = 5) -> float:
+    """Deterministic Hager estimate of ||C^{-1}||_1 via triangular solves."""
+    n = tri.shape[0]
+    x = np.full(n, 1.0 / n)
+    best = 0.0
+    for _ in range(max_iter):
+        y = solve_triangular(tri, x, lower=True)
+        best = max(best, float(np.abs(y).sum()))
+        xi = np.where(y >= 0.0, 1.0, -1.0)
+        z = solve_triangular(tri, xi, lower=True, trans="T")
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= float(z @ x):
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    return best
+
+
 def condition_estimate(tri) -> float:
     """1-norm condition estimate ||C||_1 * est(||C^{-1}||_1) of a
-    lower-triangular matrix, by LAPACK dtrcon: Hager/Higham probe iterations
-    with triangular solves, never an explicit inverse.  Only the lower
-    triangle is read, so a view into a larger array serves as is.  A matrix
-    that is singular to working precision gives inf."""
+    lower-triangular matrix; the inverse norm comes from Hager-style probe
+    iterations, never from an explicit inverse."""
     tri = np.asarray(tri, dtype=float)
     if tri.ndim != 2 or tri.shape[0] != tri.shape[1]:
         raise ValueError("condition_estimate needs a square matrix")
-    if tri.shape[0] == 0:
+    n = tri.shape[0]
+    if n == 0:
         return 1.0
     if np.any(np.diag(tri) == 0.0):
         raise NumericalError("triangular matrix is singular (zero diagonal)")
-    rcond, _ = dtrcon(tri, norm="1", uplo="L")
-    return 1.0 / float(rcond) if rcond > 0.0 else math.inf
+    norm1 = float(np.abs(tri).sum(axis=0).max())
+    return norm1 * _hager_inverse_norm1(tri)
 
 
 def singular_values(matrix) -> np.ndarray:
