@@ -347,9 +347,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         rows["kind"].append("B" if is_boundary else "D")
         rows["h_domain"].append(h_dom)
         rows["h_boundary"].append(h_bnd)
-        # _c is zero above the diagonal, so its leading block is C itself
-        # without the np.tril copy that c_matrix() makes
-        rows["cond_c"].append(analysis.condition_estimate(state._c[: state.n, : state.n]))
+        rows["cond_c"].append(analysis.condition_estimate(state.c_matrix()))
         rows["bmax"].append(float(state.residual_power[bnd_idx].max()) if bnd_idx.size
                             else math.nan)
 
