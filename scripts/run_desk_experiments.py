@@ -18,14 +18,13 @@ import sys
 import numpy as np
 
 from greedypde.analysis import fit_rate, singular_values
-from greedypde.cli import cmd_build, cmd_solve
+from greedypde.cli import basis_on_grid, cmd_build, cmd_solve
 from greedypde.config import RunConfig
 from greedypde.engine import restore_state
 from greedypde.functionals import FunctionalSet, read_functionals
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import KernelSpec
 from greedypde.runio import read_matrix_csv, read_table_csv, read_trace_csv
-from greedypde.solver import evaluate_basis
 
 
 def build_config(args, m, mode="standard"):
@@ -97,14 +96,13 @@ def main():
               f"after {int(errs[-1, 0])} basis functions")
 
     print("== singular values of the m=4 basis on the evaluation grid ==")
-    spec = KernelSpec(m=4, d=2)
-    entries = read_functionals(os.path.join(args.out, "build_m4", "selected.txt"))
-    cmat = read_matrix_csv(os.path.join(args.out, "build_m4", "cmatrix.csv"))
-    state = restore_state(FunctionalSet(entries), cmat, spec)
+    m4_dir = os.path.join(args.out, "build_m4")
+    entries = read_functionals(os.path.join(m4_dir, "selected.txt"))
+    cmat = read_matrix_csv(os.path.join(m4_dir, "cmatrix.csv"))
+    state = restore_state(FunctionalSet(entries), cmat, KernelSpec(m=4, d=2))
     geometry = disk_candidates(args.domain, args.boundary)
     grid = evaluation_grid(geometry, args.grid_spacing)
-    values = evaluate_basis(state, state.fset, spec, grid.points,
-                            workers=args.workers).values
+    values = basis_on_grid(m4_dir, state, grid.points, args.workers).values
     sv = singular_values(values)
     idx = np.arange(1, len(sv) + 1, dtype=float)
     hi = min(150, len(sv))

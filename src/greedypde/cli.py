@@ -19,7 +19,7 @@ import numpy as np
 from . import runio, solver
 from .analysis import fit_rate
 from .config import RunConfig, dump_config, load_config
-from .engine import restore_state, run
+from .engine import GreedyState, restore_state, run
 from .errors import ConfigError, GreedyPDEError, NumericalError
 from .functionals import (
     FunctionalSet,
@@ -83,6 +83,30 @@ def _read_c_matrix(path: str) -> np.ndarray:
     if not (np.diagonal(cmat) > 0.0).all():
         raise ValueError("C needs a strictly positive diagonal")
     return cmat
+
+
+def basis_on_grid(basis_dir: str, state: GreedyState, points: np.ndarray,
+                  workers: int = 1) -> solver.BasisEvaluation:
+    """The stored basis on the points.
+
+    When the basis directory holds gridrows.npy and its build grid (the x1,x2
+    columns of powergrid.csv) is exactly these points, the values are C times
+    the raw representer rows `build` stored, and no kernel is evaluated;
+    otherwise they come from `evaluate_basis`.
+    """
+    rows_path = os.path.join(basis_dir, "gridrows.npy")
+    if os.path.exists(rows_path):
+        _, table = _read_artifact(runio.read_table_csv,
+                                  os.path.join(basis_dir, "powergrid.csv"))
+        stored = table[:, :2]
+        if stored.shape == points.shape and stored.tobytes() == points.tobytes():
+            raw = _read_artifact(runio.read_grid_rows, rows_path)
+            if raw.shape != (state.n, len(points)):
+                raise ConfigError(f"{rows_path}: shape {raw.shape} does not match "
+                                  f"the {state.n} functionals of selected.txt on "
+                                  f"{len(points)} grid points")
+            return solver.BasisEvaluation(points=points, values=state.c_matrix() @ raw)
+    return solver.evaluate_basis(state, points=points, workers=workers)
 
 
 def _problem(cfg: RunConfig):
@@ -158,6 +182,7 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
             ["x1", "x2", "p2_delta"],
             [grid.points[:, 0], grid.points[:, 1], trace.grid_power],
         )
+        runio.write_grid_rows(os.path.join(tmp, "gridrows.npy"), trace.grid_rows)
         runio.write_params(os.path.join(tmp, "kernel.txt"),
                            {"m": cfg.m, "d": cfg.d, "scale": cfg.scale})
         with open(os.path.join(tmp, "config.txt"), "w") as fh:
@@ -198,11 +223,11 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     grid = evaluation_grid(geometry, cfg.grid_spacing)
     data = data_vector(state.fset, range(state.n), problem)
     mu = solver.data_to_newton(state, data)
-    basis = solver.evaluate_basis(state, state.fset, spec, grid.points,
-                                  workers=workers)
+    basis = basis_on_grid(basis_dir, state, grid.points, workers)
     u_true = problem.value(grid.points)
 
-    partial = np.cumsum(mu[:, None] * basis.values, axis=0)
+    partial = mu[:, None] * basis.values
+    np.cumsum(partial, axis=0, out=partial)
     errors = np.abs(u_true[None, :] - partial).max(axis=1)
     if not errors[0] > 0.0:
         raise ConfigError(

@@ -14,6 +14,9 @@ from .errors import ConfigError
 
 MODES = ("standard", "extended")
 PROBLEMS = ("gaussian", "powercusp", "none")
+# Real-valued keys; NaN and infinities slip through the sign checks below.
+_REAL_KEYS = ("scale", "stop_tol", "grid_spacing", "problem_shape",
+              "problem_exponent", "problem_center")
 
 
 @dataclass
@@ -38,6 +41,10 @@ class RunConfig:
 
     def validate(self) -> None:
         """Raise ConfigError naming the offending field."""
+        for key in _REAL_KEYS:
+            value = getattr(self, key)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{key}: must be finite, got {value!r}")
         if self.d != 2:
             raise ConfigError("d: only the d=2 disk geometry is shipped")
         if not self.m > 2 + self.d / 2:

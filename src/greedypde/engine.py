@@ -12,7 +12,8 @@ The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
 over an evaluation point set peaks on the boundary.  Given an evaluation
 grid, the loop also deflates the delta power P^2(delta_x) over the grid one
-basis row at a time and hands the final values back in the trace.
+basis row at a time and hands the final values, and the raw representer rows
+it deflated with, back in the trace.
 """
 
 from __future__ import annotations
@@ -210,9 +211,11 @@ class RunTrace:
     """Per-step record of the run; arrays are aligned with `steps`.
 
     `rho` is NaN at steps where the evaluation grid was not synced.
-    `boundary_power_max` (max residual power over the boundary deltas) and
-    `grid_power` (final P^2(delta_x) per evaluation-grid point, None without
-    a grid) are in-memory results, not part of the CSV schema.
+    `boundary_power_max` (max residual power over the boundary deltas),
+    `grid_power` (final P^2(delta_x) per evaluation-grid point) and
+    `grid_rows` (the raw representer rows of the selected functionals on the
+    evaluation grid, N x P, a view of the tracker's storage) are in-memory
+    results, not part of the CSV schema; the last two are None without a grid.
     """
 
     steps: np.ndarray
@@ -224,6 +227,7 @@ class RunTrace:
     cond_c: np.ndarray
     boundary_power_max: np.ndarray | None = field(default=None, repr=False)
     grid_power: np.ndarray | None = field(default=None, repr=False)
+    grid_rows: np.ndarray | None = field(default=None, repr=False)
 
     def boundary_count(self) -> int:
         return sum(1 for k in self.kind if k == "B")
@@ -365,5 +369,6 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         cond_c=np.array(rows["cond_c"]),
         boundary_power_max=np.array(rows["bmax"]),
         grid_power=tracker.residual if tracker is not None else None,
+        grid_rows=tracker._raw[: tracker.n_raw] if tracker is not None else None,
     )
     return state, trace

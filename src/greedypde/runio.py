@@ -1,5 +1,6 @@
-"""Text artifacts written by the CLI and read back by the package itself:
-run traces, matrices, power grids, error/coefficient tables and reports."""
+"""Artifacts written by the CLI and read back by the package itself: run
+traces, matrices, power grids, grid representer rows, error/coefficient
+tables and reports."""
 
 from __future__ import annotations
 
@@ -65,22 +66,12 @@ def read_trace_csv(path) -> RunTrace:
 
 
 def write_matrix_csv(path, matrix) -> None:
-    M = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w") as fh:
-        for row in M:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)),
+               fmt=f"%{_FMT}", delimiter=",")
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError("matrix rows have different lengths")
-    return np.array(rows, dtype=float)
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 # ---------------------------------------------------------------------------
@@ -88,23 +79,35 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_table_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    ncols = len(header)
-    nrows = len(columns[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(nrows):
-            fh.write(",".join(_fmt(columns[j][i]) for j in range(ncols)) + "\n")
+    np.savetxt(path, np.column_stack(columns), fmt=f"%{_FMT}", delimiter=",",
+               header=",".join(header), comments="")
 
 
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                data.append([float(v) for v in line.split(",")])
-    return header, np.array(data, dtype=float)
+        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+
+
+# ---------------------------------------------------------------------------
+# raw representer rows on the evaluation grid (gridrows.npy)
+
+
+def write_grid_rows(path, rows: np.ndarray) -> None:
+    np.save(path, rows)
+
+
+def read_grid_rows(path) -> np.ndarray:
+    """A 2-D, finite float64 array; anything else raises ValueError."""
+    try:
+        rows = np.load(path, allow_pickle=False)
+    except EOFError as exc:
+        raise ValueError(f"truncated array file: {exc}") from exc
+    if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype != np.float64:
+        raise ValueError("expected a 2-D float64 array")
+    if not np.isfinite(rows).all():
+        raise ValueError("grid rows have a non-finite entry")
+    return rows
 
 
 # ---------------------------------------------------------------------------

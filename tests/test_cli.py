@@ -1,15 +1,21 @@
+import io
 import math
 import os
 import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import greedypde.solver
 from greedypde.cli import main
 from greedypde.config import RunConfig, load_config, parse_config
 from greedypde.engine import restore_state
 from greedypde.errors import ConfigError
 from greedypde.functionals import FunctionalSet, read_functionals
+from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import KernelSpec
 from greedypde.runio import (
     read_matrix_csv,
@@ -71,6 +77,47 @@ def test_config_rejects_bad_mode_and_problem():
         parse_config("problem = heat\n")
 
 
+_REAL_FIELDS = ("scale", "stop_tol", "grid_spacing", "problem_shape",
+                "problem_exponent")
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([f.name for f in fields(RunConfig)])
+    | st.sampled_from(["", "frobnicate", "M", "n max"]) | st.text(max_size=8),
+    st.integers(-10**6, 10**6).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "", "0.1, nan",
+                       "inf, 0", "0.5, 0.5", "extended", "gaussian", "1_0",
+                       "0x10", "garbage"])
+    | st.text(max_size=12),
+), max_size=4))
+@example([("scale", "inf")])
+@example([("grid_spacing", "nan")])
+@example([("problem_center", "0.1, -inf")])
+def test_parse_config_fuzz_finite_or_config_error(pairs):
+    text = "".join(f"{k} = {v}\n" for k, v in pairs)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    for key in _REAL_FIELDS:
+        assert math.isfinite(getattr(cfg, key)), key
+    assert all(math.isfinite(c) for c in cfg.problem_center)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", _REAL_FIELDS + ("problem_center",))
+def test_non_finite_config_value_exits_2_naming_key(tmp_path, capsys, key, value):
+    if key == "problem_center":
+        value = f"0.1, {value}"
+    cfg = write_cfg(tmp_path, SMALL_CFG + f"{key} = {value}\n")
+    capsys.readouterr()
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: must be finite" in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_load_config_round_trip(tmp_path):
     path = write_cfg(tmp_path)
     cfg = load_config(path)
@@ -93,8 +140,8 @@ def built(tmp_path_factory):
 
 def test_build_writes_all_artifacts(built):
     expected = {"trace.csv", "selected.txt", "cmatrix.csv", "powergrid.csv",
-                "report.txt", "rates.csv", "kernel.txt", "config.txt",
-                "make_plots.py"}
+                "gridrows.npy", "report.txt", "rates.csv", "kernel.txt",
+                "config.txt", "make_plots.py"}
     assert expected <= set(os.listdir(built["out"]))
 
 
@@ -216,6 +263,63 @@ def test_solve_refuses_zero_first_error(built, tmp_path, capsys):
     assert not out.exists()
 
 
+def _count_riesz_rows(monkeypatch):
+    calls = []
+    real = greedypde.solver.riesz_row
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(greedypde.solver, "riesz_row", counted)
+    return calls
+
+
+def test_solve_from_stored_rows_matches_recomputation(built, tmp_path):
+    basis = str(tmp_path / "basis")
+    shutil.copytree(built["out"], basis)
+    os.remove(os.path.join(basis, "gridrows.npy"))
+    stored, recomputed = str(tmp_path / "stored"), str(tmp_path / "recomputed")
+    assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
+                 "--out", stored]) == 0
+    assert main(["solve", "--config", built["cfg"], "--basis", basis,
+                 "--out", recomputed]) == 0
+    for name in ("errors.csv", "coeffs.csv", "solution.csv"):
+        b1 = open(os.path.join(stored, name), "rb").read()
+        b2 = open(os.path.join(recomputed, name), "rb").read()
+        assert b1 == b2, name
+
+
+def test_solve_from_stored_rows_evaluates_no_kernel(built, tmp_path, monkeypatch):
+    calls = _count_riesz_rows(monkeypatch)
+    assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
+                 "--out", str(tmp_path / "s")]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("override", ["grid_spacing = 0.1", "boundary_count = 24"])
+def test_solve_on_another_grid_falls_back(built, tmp_path, monkeypatch, override):
+    assert os.path.exists(os.path.join(built["out"], "gridrows.npy"))
+    cfg_text = SMALL_CFG + override + "\n"
+    out = str(tmp_path / "s")
+    calls = _count_riesz_rows(monkeypatch)
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg_text), "--basis",
+                 built["out"], "--out", out]) == 0
+    assert len(calls) == 40
+
+    cfg = parse_config(cfg_text)
+    grid = evaluation_grid(disk_candidates(cfg.domain_count, cfg.boundary_count),
+                           cfg.grid_spacing)
+    selected = read_functionals(os.path.join(built["out"], "selected.txt"))
+    C = read_matrix_csv(os.path.join(built["out"], "cmatrix.csv"))
+    state = restore_state(FunctionalSet(selected), C, KernelSpec(m=5, d=2))
+    oracle = np.sqrt(power_on_deltas(state, evaluate_basis(state, points=grid.points)))
+    header, sol = read_table_csv(os.path.join(out, "solution.csv"))
+    assert header[-1] == "power_delta"
+    assert np.array_equal(sol[:, :2], grid.points)
+    assert np.array_equal(sol[:, -1], oracle)
+
+
 def _drop_last_line(text):
     return "".join(text.splitlines(True)[:-1])
 
@@ -224,6 +328,19 @@ def _drop_last_entry_of_second_line(text):
     lines = text.splitlines(True)
     lines[1] = lines[1].rsplit(",", 1)[0] + "\n"
     return "".join(lines)
+
+
+def _edit_npy(edit):
+    def corrupt(data):
+        out = io.BytesIO()
+        np.save(out, edit(np.load(io.BytesIO(data))))
+        return out.getvalue()
+    return corrupt
+
+
+def _set_nan(rows):
+    rows[3, 5] = np.nan
+    return rows
 
 
 def _set_entry(i, j, value):
@@ -247,20 +364,26 @@ def _set_entry(i, j, value):
     ("solve", "selected.txt", lambda t: t.replace("\n", " 0.5\n")),
     ("solve", "kernel.txt", lambda t: t + "junk\n"),
     ("report", "trace.csv", lambda t: t.replace("cond_C", "cond", 1)),
+    ("solve", "gridrows.npy", lambda b: b[: len(b) // 2]),
+    ("solve", "gridrows.npy", _edit_npy(lambda rows: rows[:-1])),
+    ("solve", "gridrows.npy", _edit_npy(_set_nan)),
+    ("solve", "gridrows.npy", _edit_npy(lambda rows: rows.astype(object))),
 ], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
         "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
         "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
         "selected-unknown-kind", "selected-wrong-dimension", "kernel-no-equals",
-        "trace-bad-header"])
+        "trace-bad-header", "gridrows-truncated", "gridrows-row-count",
+        "gridrows-nan", "gridrows-pickled"])
 def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
                                                 command, name, corrupt):
     basis = str(tmp_path / "basis")
     shutil.copytree(built["out"], basis)
     path = os.path.join(basis, name)
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(corrupt(text))
+    binary = "b" if name.endswith(".npy") else ""
+    with open(path, "r" + binary) as fh:
+        content = fh.read()
+    with open(path, "w" + binary) as fh:
+        fh.write(corrupt(content))
     capsys.readouterr()
     if command == "solve":
         argv = ["solve", "--config", built["cfg"], "--basis", basis,

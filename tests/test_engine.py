@@ -235,11 +235,16 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
     # brings the last rows into the grid power
     assert state.n < len(fset)
     assert not np.isfinite(trace.rho[-1])
-    oracle = power_on_deltas(state, evaluate_basis(state, points=grid.points))
+    basis = evaluate_basis(state, points=grid.points)
+    oracle = power_on_deltas(state, basis)
     assert np.abs(trace.grid_power - oracle).max() <= 1e-12
+    # the tracker's raw rows give the basis values bit for bit
+    assert trace.grid_rows.shape == (state.n, len(grid))
+    assert np.array_equal(state.c_matrix() @ trace.grid_rows, basis.values)
 
     _, no_grid = run(fset, SPEC, n_max=5)
     assert no_grid.grid_power is None
+    assert no_grid.grid_rows is None
 
 
 def test_fill_distance_columns(small_run):
