@@ -35,7 +35,6 @@ def build_config(args, m, mode="standard"):
     cfg.boundary_count = args.boundary
     cfg.n_max = args.steps
     cfg.grid_spacing = args.grid_spacing
-    cfg.workers = args.workers
     cfg.validate()
     return cfg
 
@@ -58,7 +57,6 @@ def main():
     ap.add_argument("--boundary", type=int, default=120)
     ap.add_argument("--steps", type=int, default=200)
     ap.add_argument("--grid-spacing", type=float, default=0.025)
-    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args()
 
     if os.path.exists(args.out):
@@ -102,7 +100,7 @@ def main():
     state = restore_state(FunctionalSet(entries), cmat, KernelSpec(m=4, d=2))
     geometry = disk_candidates(args.domain, args.boundary)
     grid = evaluation_grid(geometry, args.grid_spacing)
-    values = basis_on_grid(m4_dir, state, grid.points, args.workers).values
+    values = basis_on_grid(m4_dir, state, grid.points).values
     sv = singular_values(values)
     idx = np.arange(1, len(sv) + 1, dtype=float)
     hi = min(150, len(sv))

@@ -16,6 +16,7 @@ from .geometry import DiskGeometry, EvalGrid, disk_candidates, \
     evaluation_grid, fill_distance, read_points, write_points
 from .kernels import KernelSpec, RadialStack, bessel_k, bilaplacian, \
     kernel_value, laplacian_y, radial_stack
+from .parallel import resolve_workers
 from .solver import BasisEvaluation, ProjectionSolution, approximate, \
     data_to_newton, direct_collocation_solve, evaluate_basis, \
     power_on_deltas, project

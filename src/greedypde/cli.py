@@ -32,7 +32,6 @@ from .functionals import (
 )
 from .geometry import disk_candidates, evaluation_grid
 from .kernels import KernelSpec
-from .parallel import resolve_workers
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -47,7 +46,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker count (0 = all usable cores)")
+                       help="accepted for compatibility; has no effect")
         if name == "solve":
             p.add_argument("--basis", required=True,
                            help="directory produced by `build`")
@@ -85,8 +84,8 @@ def _read_c_matrix(path: str) -> np.ndarray:
     return cmat
 
 
-def basis_on_grid(basis_dir: str, state: GreedyState, points: np.ndarray,
-                  workers: int = 1) -> solver.BasisEvaluation:
+def basis_on_grid(basis_dir: str, state: GreedyState,
+                  points: np.ndarray) -> solver.BasisEvaluation:
     """The stored basis on the points.
 
     When the basis directory holds gridrows.npy and its build grid (the x1,x2
@@ -106,7 +105,7 @@ def basis_on_grid(basis_dir: str, state: GreedyState, points: np.ndarray,
                                   f"the {state.n} functionals of selected.txt on "
                                   f"{len(points)} grid points")
             return solver.BasisEvaluation(points=points, values=state.c_matrix() @ raw)
-    return solver.evaluate_basis(state, points=points, workers=workers)
+    return solver.evaluate_basis(state, points=points)
 
 
 def _problem(cfg: RunConfig):
@@ -163,12 +162,10 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
     grid = evaluation_grid(geometry, cfg.grid_spacing)
     y_size = min(cfg.y_size, grid.n_interior)
     y_indices = np.unique(np.linspace(0, grid.n_interior - 1, y_size).astype(int))
-    workers = resolve_workers(cfg.workers)
 
     state, trace = run(
         fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
         eval_grid=grid, rho_every=cfg.rho_every, y_indices=y_indices,
-        workers=workers,
     )
 
     tmp = _fresh_outdir(out_dir)
@@ -202,7 +199,7 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     ours = {"m": cfg.m, "d": cfg.d, "scale": cfg.scale}
     if any(params.get(k) != v for k, v in ours.items()):
         raise ConfigError(
-            f"kernel parameters of the basis {params} do not match the config {ours}"
+            f"{kernel_path}: kernel parameters {params} do not match the config {ours}"
         )
     spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
     selected_path = os.path.join(basis_dir, "selected.txt")
@@ -210,6 +207,8 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     if fset.points.shape[1] != spec.d:
         raise ConfigError(f"{selected_path}: points have {fset.points.shape[1]} "
                           f"coordinates, the kernel needs d = {spec.d}")
+    if not np.isfinite(fset.points).all():
+        raise ConfigError(f"{selected_path}: a point has a non-finite coordinate")
     cmat_path = os.path.join(basis_dir, "cmatrix.csv")
     cmat = _read_artifact(_read_c_matrix, cmat_path)
     if cmat.shape != (len(fset), len(fset)):
@@ -217,13 +216,12 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
                           f"{len(fset)} functionals of selected.txt")
     state = restore_state(fset, cmat, spec)
     problem = _problem(cfg)
-    workers = resolve_workers(cfg.workers)
 
     geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
     grid = evaluation_grid(geometry, cfg.grid_spacing)
     data = data_vector(state.fset, range(state.n), problem)
     mu = solver.data_to_newton(state, data)
-    basis = basis_on_grid(basis_dir, state, grid.points, workers)
+    basis = basis_on_grid(basis_dir, state, grid.points)
     u_true = problem.value(grid.points)
 
     partial = mu[:, None] * basis.values

@@ -32,7 +32,7 @@ class RunConfig:
     grid_spacing: float = 0.025
     y_size: int = 1000
     rho_every: int = 1
-    workers: int = 0  # 0 = cores in the affinity mask; results are worker-count invariant
+    workers: int = 0  # accepted for compatibility; has no effect
     out_dir: str = "greedy_run"
     problem: str = "gaussian"
     problem_center: tuple[float, float] = (-math.pi / 10.0, 0.0)
@@ -68,7 +68,7 @@ class RunConfig:
         if self.rho_every < 1:
             raise ConfigError("rho_every: must be >= 1")
         if self.workers < 0:
-            raise ConfigError("workers: must be >= 0 (0 = all cores)")
+            raise ConfigError("workers: must be >= 0")
         if self.problem not in PROBLEMS:
             raise ConfigError(f"problem: must be one of {PROBLEMS}, got {self.problem!r}")
         if self.problem_shape <= 0:

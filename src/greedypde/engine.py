@@ -154,7 +154,7 @@ def select_extended(state: GreedyState, delta_power_max: float,
     return select_standard(state, stop_tol)
 
 
-def extend(state: GreedyState, chosen: int, workers: int = 1) -> GreedyState:
+def extend(state: GreedyState, chosen: int) -> GreedyState:
     """Add the chosen functional: new C row, new Newton column over the whole
     set, deflated residual powers.
 
@@ -172,8 +172,7 @@ def extend(state: GreedyState, chosen: int, workers: int = 1) -> GreedyState:
     cols = state._columns[:N]
     ctri = state._c[:N, :N]
 
-    w = dual_inner_column(state.fset.entries[chosen], state.fset, state.spec,
-                          workers=workers)
+    w = dual_inner_column(state.fset.entries[chosen], state.fset, state.spec)
     proj = cols[:, chosen].copy()
     if N:
         w -= proj @ cols
@@ -241,10 +240,9 @@ class _GridTracker:
     bit-identical values.
     """
 
-    def __init__(self, grid: EvalGrid, spec: KernelSpec, workers: int = 1):
+    def __init__(self, grid: EvalGrid, spec: KernelSpec):
         self.points = grid.points
         self.spec = spec
-        self.workers = workers
         p = len(grid)
         self.residual = np.full(p, kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d)))
         self._raw = np.zeros((_INITIAL_CAPACITY, p))
@@ -254,7 +252,7 @@ class _GridTracker:
     def append_selected(self, f) -> None:
         if self.n_raw == len(self._raw):
             self._raw = _with_capacity(self._raw, 2 * self.n_raw, self.n_raw)
-        self._raw[self.n_raw] = riesz_row(f, self.points, self.spec, self.workers)
+        self._raw[self.n_raw] = riesz_row(f, self.points, self.spec)
         self.n_raw += 1
 
     def sync(self, state: GreedyState) -> None:
@@ -275,7 +273,7 @@ class _GridTracker:
 def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         n_max: int | None = None, stop_tol: float = 1e-12,
         eval_grid: EvalGrid | None = None, rho_every: int = 1,
-        y_indices=None, workers: int = 1) -> tuple[GreedyState, RunTrace]:
+        y_indices=None) -> tuple[GreedyState, RunTrace]:
     """Execute the selection loop and record the per-step trace.
 
     Stops at n_max or when the residual power drops to stop_tol * max(diag).
@@ -295,7 +293,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         raise ValueError("extended mode needs an evaluation grid")
 
     state = init(fset, spec)
-    tracker = _GridTracker(eval_grid, spec, workers) if eval_grid is not None else None
+    tracker = _GridTracker(eval_grid, spec) if eval_grid is not None else None
     if tracker is not None:
         y_indices = (np.arange(eval_grid.n_interior) if y_indices is None
                      else np.asarray(y_indices, dtype=int))
@@ -324,7 +322,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
             break
 
         is_boundary = not fset.domain_mask[chosen]
-        extend(state, chosen, workers=workers)
+        extend(state, chosen)
         if tracker is not None:
             tracker.append_selected(fset.entries[chosen])
 

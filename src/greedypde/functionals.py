@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import KernelSpec, bilaplacian, kernel_value, laplacian_y
-from .parallel import map_blocks
 
 BOUNDARY_DELTA = "B"
 DOMAIN_OP_DELTA = "D"
@@ -105,8 +104,7 @@ def dual_inner(a: Functional, b: Functional, spec: KernelSpec) -> float:
     return a.weight * b.weight * base
 
 
-def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
-                      workers: int = 1) -> np.ndarray:
+def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:
     """(lam, f) for every lam in the set, as one vector over set order.
 
     Before weighting, (lam, f) depends only on the kind of lam and on
@@ -129,23 +127,20 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
         reps.append(idx[first])
     reps = np.concatenate(reps)
 
-    def block(lo, hi):
-        pts = fset.points[reps[lo:hi]]
-        dm = fset.domain_mask[reps[lo:hi]]
-        out = np.empty(hi - lo)
-        if f.kind == DOMAIN_OP_DELTA:
-            if dm.any():
-                out[dm] = bilaplacian(spec, pts[dm], p)
-            if (~dm).any():
-                out[~dm] = laplacian_y(spec, pts[~dm], p)
-        else:
-            if dm.any():
-                out[dm] = laplacian_y(spec, pts[dm], p)
-            if (~dm).any():
-                out[~dm] = kernel_value(spec, pts[~dm], p)
-        return out
-
-    return map_blocks(block, len(reps), workers)[where] * (f.weight * fset.weights)
+    pts = fset.points[reps]
+    dm = fset.domain_mask[reps]
+    out = np.empty(len(reps))
+    if f.kind == DOMAIN_OP_DELTA:
+        if dm.any():
+            out[dm] = bilaplacian(spec, pts[dm], p)
+        if (~dm).any():
+            out[~dm] = laplacian_y(spec, pts[~dm], p)
+    else:
+        if dm.any():
+            out[dm] = laplacian_y(spec, pts[dm], p)
+        if (~dm).any():
+            out[~dm] = kernel_value(spec, pts[~dm], p)
+    return out[where] * (f.weight * fset.weights)
 
 
 def self_inner_column(fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:
@@ -185,11 +180,9 @@ def riesz_value(f: Functional, x, spec: KernelSpec):
     return f.weight * laplacian_y(spec, np.asarray(x, dtype=float), p)
 
 
-def riesz_row(f: Functional, points: np.ndarray, spec: KernelSpec,
-              workers: int = 1) -> np.ndarray:
-    """v_f over an (n, d) point array, evaluated block-parallel."""
-    return map_blocks(lambda lo, hi: riesz_value(f, points[lo:hi], spec),
-                      len(points), workers)
+def riesz_row(f: Functional, points: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """v_f over an (n, d) point array."""
+    return riesz_value(f, points, spec)
 
 
 # ---------------------------------------------------------------------------

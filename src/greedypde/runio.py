@@ -33,6 +33,8 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 
 
 def read_trace_csv(path) -> RunTrace:
+    """A trace with at least one row of 7 fields; anything else raises
+    ValueError."""
     steps, sigma, rho, kind, hd, hb, cc = [], [], [], [], [], [], []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -43,6 +45,8 @@ def read_trace_csv(path) -> RunTrace:
             if not line:
                 continue
             f = line.split(",")
+            if len(f) != 7:
+                raise ValueError(f"expected 7 fields, got {len(f)} in {line!r}")
             steps.append(int(f[0]))
             sigma.append(float(f[1]))
             rho.append(float(f[2]))
@@ -50,6 +54,8 @@ def read_trace_csv(path) -> RunTrace:
             hd.append(float(f[4]))
             hb.append(float(f[5]))
             cc.append(float(f[6]))
+    if not steps:
+        raise ValueError("trace has no rows")
     return RunTrace(
         steps=np.array(steps),
         sigma=np.array(sigma),

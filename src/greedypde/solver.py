@@ -37,8 +37,7 @@ class ProjectionSolution:
 
 
 def evaluate_basis(state: GreedyState, fset: FunctionalSet | None = None,
-                   spec: KernelSpec | None = None, points=None,
-                   workers: int = 1) -> BasisEvaluation:
+                   spec: KernelSpec | None = None, points=None) -> BasisEvaluation:
     """All basis functions on the points, as the C-weighted combination of
     raw representer values."""
     fset = fset if fset is not None else state.fset
@@ -46,7 +45,7 @@ def evaluate_basis(state: GreedyState, fset: FunctionalSet | None = None,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if state.n == 0:
         return BasisEvaluation(points=pts, values=np.zeros((0, len(pts))))
-    raw = np.array([riesz_row(fset.entries[i], pts, spec, workers)
+    raw = np.array([riesz_row(fset.entries[i], pts, spec)
                     for i in state.selected])
     return BasisEvaluation(points=pts, values=state.c_matrix() @ raw)
 

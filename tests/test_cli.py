@@ -1,6 +1,8 @@
+import contextlib
 import io
 import math
 import os
+import re
 import shutil
 from dataclasses import fields
 
@@ -364,6 +366,9 @@ def _set_entry(i, j, value):
     ("solve", "selected.txt", lambda t: t.replace("\n", " 0.5\n")),
     ("solve", "kernel.txt", lambda t: t + "junk\n"),
     ("report", "trace.csv", lambda t: t.replace("cond_C", "cond", 1)),
+    ("report", "trace.csv", lambda t: t + "4,0.5,nan\n"),
+    ("report", "trace.csv", lambda t: t.splitlines(True)[0]),
+    ("solve", "selected.txt", lambda t: t[:2] + "nan" + t[t.index(" ", 2):]),
     ("solve", "gridrows.npy", lambda b: b[: len(b) // 2]),
     ("solve", "gridrows.npy", _edit_npy(lambda rows: rows[:-1])),
     ("solve", "gridrows.npy", _edit_npy(_set_nan)),
@@ -372,7 +377,8 @@ def _set_entry(i, j, value):
         "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
         "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
         "selected-unknown-kind", "selected-wrong-dimension", "kernel-no-equals",
-        "trace-bad-header", "gridrows-truncated", "gridrows-row-count",
+        "trace-bad-header", "trace-short-row", "trace-no-rows",
+        "selected-nan-coordinate", "gridrows-truncated", "gridrows-row-count",
         "gridrows-nan", "gridrows-pickled"])
 def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
                                                 command, name, corrupt):
@@ -392,6 +398,56 @@ def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
         argv = ["report", "--config", built["cfg"], "--out", basis]
     assert main(argv) == 2
     assert name in capsys.readouterr().err
+
+
+_SEPARATORS = ", ="
+
+
+def _corrupt_text(data, text):
+    """Cut the text at a byte, drop one of its fields, or replace a field
+    with a non-finite value, an empty string or junk."""
+    how = data.draw(st.sampled_from(["cut", "drop", "replace"]))
+    if how == "cut":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    field = data.draw(st.sampled_from(list(re.finditer(rf"[^{_SEPARATORS}\n]+", text))))
+    lo, hi = field.span()
+    if how == "replace":
+        return text[:lo] + data.draw(st.sampled_from(["nan", "inf", "", "junk"])) + text[hi:]
+    if lo > 0 and text[lo - 1] in _SEPARATORS:
+        lo -= 1
+    elif hi < len(text) and text[hi] in _SEPARATORS:
+        hi += 1
+    return text[:lo] + text[hi:]
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
+
+
+@given(st.sampled_from([("report", "trace.csv"), ("solve", "selected.txt"),
+                        ("solve", "cmatrix.csv"), ("solve", "kernel.txt")]),
+       st.data())
+def test_corrupted_text_artifact_never_raises(built, tmp_path_factory, target, data):
+    command, name = target
+    tmp = tmp_path_factory.mktemp("fuzz")
+    basis = str(tmp / "basis")
+    shutil.copytree(built["out"], basis)
+    path = os.path.join(basis, name)
+    with open(path) as fh:
+        text = fh.read()
+    with open(path, "w") as fh:
+        fh.write(_corrupt_text(data, text))
+    if command == "solve":
+        argv = ["solve", "--config", built["cfg"], "--basis", basis,
+                "--out", str(tmp / "s")]
+    else:
+        argv = ["report", "--config", built["cfg"], "--out", basis]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        msg = err.getvalue()
+        assert name in msg or any(f"error: {k}:" in msg for k in _CONFIG_KEYS), msg
 
 
 # ---------------------------------------------------------------------------

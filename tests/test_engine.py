@@ -272,14 +272,6 @@ def test_storage_counter_linear_in_steps():
     assert counts[50] <= 2.2 * counts[25]
 
 
-def test_workers_do_not_change_results():
-    fset = toy_disk(120, 16)
-    s1, _ = run(fset, SPEC, n_max=15, workers=1)
-    s2, _ = run(fset, SPEC, n_max=15, workers=4)
-    assert s1.selected == s2.selected
-    assert np.array_equal(s1.residual_power, s2.residual_power)
-
-
 def test_resolve_workers_counts_affinity_mask(monkeypatch):
     monkeypatch.setattr("os.cpu_count", lambda: 64)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 3, 5},

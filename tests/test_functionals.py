@@ -92,17 +92,15 @@ def test_riesz_is_reproduction_of_dual_inner(rng):
                 riesz_value(lam, x, SPEC), abs=1e-13)
 
 
-def test_dual_inner_column_matches_scalar_path(monkeypatch):
+def test_dual_inner_column_matches_scalar_path():
     # exact: the column evaluates each distinct distance once and gathers
-    monkeypatch.setattr("greedypde.parallel._MIN_PARALLEL", 8)  # threads at this size
     geometry = disk_candidates(60, 12)
     fset = disk_functional_set(geometry, domain_weight=0.7, boundary_weight=1.3)
     for spec in (SPEC, KernelSpec(m=6, d=2)):
         for f in (fset.entries[5], fset.entries[len(fset) - 3]):  # a D and a B centre
             expected = np.array([dual_inner(g, f, spec) for g in fset.entries])
-            for workers in (1, 2):
-                col = dual_inner_column(f, fset, spec, workers=workers)
-                assert np.array_equal(col, expected), (f.kind, workers)
+            col = dual_inner_column(f, fset, spec)
+            assert np.array_equal(col, expected), f.kind
 
 
 def test_self_inner_column_matches_scalar_path():
