@@ -353,6 +353,13 @@ def _set_entry(i, j, value):
     return corrupt
 
 
+def _run_on_basis(built, command, basis, out):
+    """`solve` from, or `report` into, a basis directory; the exit code."""
+    if command == "solve":
+        return main(["solve", "--config", built["cfg"], "--basis", basis, "--out", out])
+    return main(["report", "--config", built["cfg"], "--out", basis])
+
+
 @pytest.mark.parametrize("command,name,corrupt", [
     ("solve", "cmatrix.csv", _drop_last_line),
     ("solve", "cmatrix.csv", _drop_last_entry_of_second_line),
@@ -391,12 +398,7 @@ def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
     with open(path, "w" + binary) as fh:
         fh.write(corrupt(content))
     capsys.readouterr()
-    if command == "solve":
-        argv = ["solve", "--config", built["cfg"], "--basis", basis,
-                "--out", str(tmp_path / "s")]
-    else:
-        argv = ["report", "--config", built["cfg"], "--out", basis]
-    assert main(argv) == 2
+    assert _run_on_basis(built, command, basis, str(tmp_path / "s")) == 2
     assert name in capsys.readouterr().err
 
 
@@ -436,14 +438,9 @@ def test_corrupted_text_artifact_never_raises(built, tmp_path_factory, target, d
         text = fh.read()
     with open(path, "w") as fh:
         fh.write(_corrupt_text(data, text))
-    if command == "solve":
-        argv = ["solve", "--config", built["cfg"], "--basis", basis,
-                "--out", str(tmp / "s")]
-    else:
-        argv = ["report", "--config", built["cfg"], "--out", basis]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = main(argv)
+        rc = _run_on_basis(built, command, basis, str(tmp / "s"))
     assert rc in (0, 2, 3)
     if rc == 2:
         msg = err.getvalue()
