@@ -275,6 +275,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.workers is not None:
             cfg.workers = args.workers
+            cfg.validate()
         out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "build":
             cmd_build(cfg, out_dir)

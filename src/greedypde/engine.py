@@ -6,7 +6,11 @@ selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
 is (N+2)|Lambda| floats plus the C triangle; each step costs O(N |Lambda|)
-plus |Lambda| kernel evaluations.
+plus one kernel column over the set.  The operator-delta half of a column is
+the bilaplacian at radii that recur from step to step, so the state keeps one
+table of them (functionals.BilaplacianTable) and each distinct radius is
+evaluated once per run, at the cost of one float pair of storage per
+distinct radius.
 
 The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
@@ -26,6 +30,7 @@ import numpy as np
 from . import analysis
 from .errors import Converged, InvalidSelectionError, NumericalError
 from .functionals import (
+    BilaplacianTable,
     FunctionalSet,
     dual_inner_column,
     riesz_row,
@@ -63,6 +68,8 @@ class GreedyState:
         self.diag = self_inner_column(fset, spec)
         self.residual_power = self.diag.copy()
         self.selected: list[int] = []
+        # operator-delta pair values, shared by every column of the run
+        self.dd_table = BilaplacianTable(spec)
         self._columns = np.zeros((_INITIAL_CAPACITY, len(fset)))
         self._c = np.zeros((_INITIAL_CAPACITY, _INITIAL_CAPACITY))
 
@@ -172,7 +179,8 @@ def extend(state: GreedyState, chosen: int) -> GreedyState:
     cols = state._columns[:N]
     ctri = state._c[:N, :N]
 
-    w = dual_inner_column(state.fset.entries[chosen], state.fset, state.spec)
+    w = dual_inner_column(state.fset.entries[chosen], state.fset, state.spec,
+                          state.dd_table)
     proj = cols[:, chosen].copy()
     if N:
         w -= proj @ cols

@@ -18,7 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, bilaplacian, kernel_value, laplacian_y
+from .kernels import (
+    KernelSpec,
+    bilaplacian,
+    kernel_value,
+    laplacian_y,
+    radial_bilaplacian,
+    radial_kernel,
+    radial_laplacian,
+    scaled_distance,
+)
 
 BOUNDARY_DELTA = "B"
 DOMAIN_OP_DELTA = "D"
@@ -104,43 +113,122 @@ def dual_inner(a: Functional, b: Functional, spec: KernelSpec) -> float:
     return a.weight * b.weight * base
 
 
-def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:
+class BilaplacianTable:
+    """Bilaplacian values for one kernel spec, keyed by the exact scaled
+    radius.
+
+    Operator-delta pairs repeat the same few radii from column to column, and
+    the bilaplacian is a pure function of the radius, so a table that lives
+    across columns evaluates each distinct radius once and gathers it after
+    that; the values are exactly those of a direct evaluation.
+
+    The radii's float bits are the keys of an open-addressing hash table
+    with linear probing, kept at most a quarter full so that nearly every
+    key is found in its first slot.  At full scale a lookup costs a fifth of
+    a binary search over the sorted radii.
+    """
+
+    _EMPTY = np.uint64(2**64 - 1)  # a NaN bit pattern, so never a radius
+    _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # Fibonacci hashing
+    _INITIAL_CAPACITY = 1024  # slots; a power of two, doubled as needed
+
+    def __init__(self, spec: KernelSpec):
+        self.spec = spec
+        self._size = 0
+        self._allocate(self._INITIAL_CAPACITY)
+
+    def __len__(self) -> int:
+        return self._size
+
+    def _allocate(self, capacity: int) -> None:
+        self._keys = np.full(capacity, self._EMPTY)
+        self._values = np.empty(capacity)
+        self._shift = np.uint64(65 - capacity.bit_length())  # 64 - log2(capacity)
+
+    def _slots(self, keys: np.ndarray) -> np.ndarray:
+        """Where each key is stored, or else the empty slot that ends its
+        probe sequence."""
+        mask = len(self._keys) - 1
+        # the top bits of the wrapped uint64 product pick the home slot
+        slot = (keys * self._MULTIPLIER >> self._shift).astype(np.intp)
+        held = self._keys[slot]
+        todo = np.flatnonzero((held != keys) & (held != self._EMPTY))
+        while todo.size:
+            slot[todo] = (slot[todo] + 1) & mask
+            held = self._keys[slot[todo]]
+            todo = todo[(held != keys[todo]) & (held != self._EMPTY)]
+        return slot
+
+    def _insert(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Store distinct keys that the table does not hold yet."""
+        if 4 * (self._size + len(keys)) > len(self._keys):
+            held = self._keys != self._EMPTY
+            keys = np.concatenate([self._keys[held], keys])
+            values = np.concatenate([self._values[held], values])
+            capacity = len(self._keys)
+            while 4 * len(keys) > capacity:
+                capacity *= 2
+            self._allocate(capacity)
+            self._size = 0
+        todo = np.arange(len(keys))
+        while todo.size:
+            slot = self._slots(keys[todo])
+            _, first = np.unique(slot, return_index=True)  # one key per free slot
+            self._keys[slot[first]] = keys[todo[first]]
+            self._values[slot[first]] = values[todo[first]]
+            todo = np.delete(todo, first)
+        self._size += len(keys)
+
+    def lookup(self, t: np.ndarray) -> np.ndarray:
+        """Bilaplacian values at the 1-D scaled radii t.  Radii the table
+        does not hold yet are evaluated, once each, and added to it."""
+        t = np.ascontiguousarray(t, dtype=float)
+        keys = t.view(np.uint64)
+        slot = self._slots(keys)
+        out = self._values[slot]
+        miss = self._keys[slot] != keys
+        if miss.any():
+            new, inverse = np.unique(t[miss], return_inverse=True)
+            values = radial_bilaplacian(self.spec, new)
+            out[miss] = values[inverse]
+            self._insert(new.view(np.uint64), values)
+        return out
+
+
+def _per_distinct_radius(radial, spec: KernelSpec, t: np.ndarray) -> np.ndarray:
+    """radial(spec, t), evaluated once per distinct radius and gathered."""
+    distinct, inverse = np.unique(t, return_inverse=True)
+    return radial(spec, distinct)[inverse]
+
+
+def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
+                      table: BilaplacianTable | None = None) -> np.ndarray:
     """(lam, f) for every lam in the set, as one vector over set order.
 
-    Before weighting, (lam, f) depends only on the kind of lam and on
-    ||lam - f||, and candidate lattices repeat distances, so each distinct
-    (kind, distance) pair is evaluated once, at its first candidate, and
-    gathered back.  The kernel evaluators are pure functions of the distance,
-    so the result is exactly the per-candidate one.
+    Before weighting, (lam, f) depends only on the kinds and on the scaled
+    distance t = ||lam - f|| / scale, and the kernel evaluators are pure
+    functions of t, so each value is evaluated once per distinct t and
+    gathered; the result is exactly the per-candidate one.  Operator-delta
+    pairs go through `table`, which a greedy run keeps across all its columns
+    so that each of their radii is evaluated once per run (a fresh table when
+    None); the pairs with a boundary delta, whose radii rarely repeat across
+    columns, are deduplicated within the column.
     """
-    p = np.asarray(f.point, dtype=float)
-    dist = np.linalg.norm(fset.points - p, axis=-1)
-    reps = []
-    where = np.empty(len(fset), dtype=int)
-    offset = 0
-    for mask in (fset.domain_mask, ~fset.domain_mask):
-        idx = np.flatnonzero(mask)
-        _, first, inverse = np.unique(dist[idx], return_index=True,
-                                      return_inverse=True)
-        where[idx] = offset + inverse
-        offset += len(first)
-        reps.append(idx[first])
-    reps = np.concatenate(reps)
-
-    pts = fset.points[reps]
-    dm = fset.domain_mask[reps]
-    out = np.empty(len(reps))
+    if table is None:
+        table = BilaplacianTable(spec)
+    elif table.spec != spec:
+        raise ValueError(f"table holds values for {table.spec}, not {spec}")
+    t = scaled_distance(spec, fset.points, f.point)
+    dm = fset.domain_mask
+    bm = ~dm
+    out = np.empty(len(fset))
     if f.kind == DOMAIN_OP_DELTA:
-        if dm.any():
-            out[dm] = bilaplacian(spec, pts[dm], p)
-        if (~dm).any():
-            out[~dm] = laplacian_y(spec, pts[~dm], p)
+        out[dm] = table.lookup(t[dm])
+        out[bm] = _per_distinct_radius(radial_laplacian, spec, t[bm])
     else:
-        if dm.any():
-            out[dm] = laplacian_y(spec, pts[dm], p)
-        if (~dm).any():
-            out[~dm] = kernel_value(spec, pts[~dm], p)
-    return out[where] * (f.weight * fset.weights)
+        out[dm] = _per_distinct_radius(radial_laplacian, spec, t[dm])
+        out[bm] = _per_distinct_radius(radial_kernel, spec, t[bm])
+    return out * (f.weight * fset.weights)
 
 
 def self_inner_column(fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:

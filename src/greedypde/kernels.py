@@ -16,8 +16,13 @@ Laplacian applied to one or both kernel arguments,
 
 with t = ||x - y|| / scale.  Negative orders use K_{-mu} = K_mu; the terms
 with a t^2 or t^4 prefactor stay finite at t = 0 for every valid smoothness
-(nu > 2).  All evaluators broadcast over trailing point axes and are pure
-functions of t, so concurrent use is safe and equal radii give equal values.
+(nu > 2).  Each evaluator comes in two forms: a radial entry point
+(radial_kernel, radial_laplacian, radial_bilaplacian) that takes scaled radii
+t, and a point form (kernel_value, laplacian_y, bilaplacian) that computes
+t = ||x - y|| / scale with scaled_distance and calls it.  All of them
+broadcast and are pure elementwise functions of t, so concurrent use is safe
+and equal radii give equal values, bit for bit; callers may evaluate each
+distinct radius once and reuse the value.
 
 One Bessel stack serves every evaluator (`_phi_terms`).  For integer nu
 (every even d, so the shipped d = 2) the orders |nu - k| are integers, and
@@ -163,12 +168,20 @@ def _phi_terms(t: np.ndarray, terms) -> list[np.ndarray]:
     return out
 
 
-def _scaled_distance(spec: KernelSpec, x, y) -> np.ndarray:
+def scaled_distance(spec: KernelSpec, x, y) -> np.ndarray:
+    """t = ||x - y|| / scale over the trailing coordinate axis.
+
+    The squared coordinates are summed in order, which is how
+    np.linalg.norm(x - y, axis=-1) sums them, so the bits are the same; a
+    sum per coordinate avoids norm's reduction over rows of length d, which
+    costs several times more.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != spec.d or y.shape[-1] != spec.d:
         raise ValueError(f"points must have {spec.d} coordinates")
-    return np.linalg.norm(x - y, axis=-1) / spec.scale
+    diff = np.moveaxis(x - y, -1, 0)
+    return np.sqrt(sum(c * c for c in diff)) / spec.scale
 
 
 def radial_stack(spec: KernelSpec, r: float) -> RadialStack:
@@ -187,30 +200,46 @@ def radial_stack(spec: KernelSpec, r: float) -> RadialStack:
     return RadialStack(radius=t, orders=orders, values=values, singular=singular)
 
 
-def kernel_value(spec: KernelSpec, x, y):
-    """K(x, y) = phi_nu(||x - y|| / scale); symmetric, broadcasts over points."""
-    t = _scaled_distance(spec, x, y)
+def radial_kernel(spec: KernelSpec, t):
+    """phi_nu(t), the kernel at scaled radius t = ||x - y|| / scale."""
+    t = np.asarray(t, dtype=float)
     (v,) = _phi_terms(np.atleast_1d(t), [(0, spec.nu)])
     return float(v[0]) if t.ndim == 0 else v
 
 
-def laplacian_y(spec: KernelSpec, x, y):
-    """Delta_y K(x, y); equals Delta_x K(x, y) by radial symmetry."""
-    t = _scaled_distance(spec, x, y)
+def radial_laplacian(spec: KernelSpec, t):
+    """Delta_y K at scaled radius t."""
+    t = np.asarray(t, dtype=float)
     nu, d = spec.nu, spec.d
     a, b = _phi_terms(np.atleast_1d(t), [(2, nu - 2), (0, nu - 1)])
     v = (a - d * b) / spec.scale**2
     return float(v[0]) if t.ndim == 0 else v
 
 
-def bilaplacian(spec: KernelSpec, x, y):
-    """Delta_x Delta_y K(x, y): the radial Laplacian reduction applied twice.
+def radial_bilaplacian(spec: KernelSpec, t):
+    """Delta_x Delta_y K at scaled radius t: the radial Laplacian reduction
+    applied twice.
 
-    Finite at x = y for every valid spec, where it equals
+    Finite at t = 0 for every valid spec, where it equals
     d(d+2) phi_{nu-2}(0) / scale^4.
     """
-    t = _scaled_distance(spec, x, y)
+    t = np.asarray(t, dtype=float)
     nu, d = spec.nu, spec.d
     a, b, c = _phi_terms(np.atleast_1d(t), [(4, nu - 4), (2, nu - 3), (0, nu - 2)])
     v = (a - 2.0 * (d + 2) * b + d * (d + 2) * c) / spec.scale**4
     return float(v[0]) if t.ndim == 0 else v
+
+
+def kernel_value(spec: KernelSpec, x, y):
+    """K(x, y) = phi_nu(||x - y|| / scale); symmetric, broadcasts over points."""
+    return radial_kernel(spec, scaled_distance(spec, x, y))
+
+
+def laplacian_y(spec: KernelSpec, x, y):
+    """Delta_y K(x, y); equals Delta_x K(x, y) by radial symmetry."""
+    return radial_laplacian(spec, scaled_distance(spec, x, y))
+
+
+def bilaplacian(spec: KernelSpec, x, y):
+    """Delta_x Delta_y K(x, y); finite at x = y."""
+    return radial_bilaplacian(spec, scaled_distance(spec, x, y))

@@ -5,6 +5,7 @@ tables and reports."""
 from __future__ import annotations
 
 import math
+import tokenize
 
 import numpy as np
 
@@ -76,8 +77,22 @@ def write_matrix_csv(path, matrix) -> None:
                fmt=f"%{_FMT}", delimiter=",")
 
 
+def _read_rows(fh) -> np.ndarray:
+    """The comma-separated rows from fh's position on, as a 2-D array.
+
+    Empty lines are skipped.  A body with no data row raises ValueError:
+    np.loadtxt would only warn and return an empty array.
+    """
+    start = fh.tell()
+    if not any(line.strip() for line in iter(fh.readline, "")):
+        raise ValueError("no data rows")
+    fh.seek(start)
+    return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+
+
 def read_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    with open(path) as fh:
+        return _read_rows(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +107,7 @@ def write_table_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
 def read_table_csv(path) -> tuple[list[str], np.ndarray]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        return header, np.loadtxt(fh, delimiter=",", ndmin=2)
+        return header, _read_rows(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +124,8 @@ def read_grid_rows(path) -> np.ndarray:
         rows = np.load(path, allow_pickle=False)
     except EOFError as exc:
         raise ValueError(f"truncated array file: {exc}") from exc
+    except tokenize.TokenError as exc:  # from numpy's fallback header parser
+        raise ValueError(f"unreadable array header: {exc}") from exc
     if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype != np.float64:
         raise ValueError("expected a 2-D float64 array")
     if not np.isfinite(rows).all():

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -185,6 +186,15 @@ def test_build_exit_code_on_bad_config(tmp_path):
                  "--out", str(tmp_path / "y")]) == 2
 
 
+def test_build_validates_workers_flag(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "w"
+    capsys.readouterr()
+    assert main(["build", "--config", cfg, "--out", str(out), "--workers", "-3"]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_build_rejects_oversized_n_max(tmp_path):
     cfg = write_cfg(tmp_path, "domain_count = 20\nboundary_count = 4\nn_max = 500\n")
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
@@ -360,6 +370,19 @@ def _run_on_basis(built, command, basis, out):
     return main(["report", "--config", built["cfg"], "--out", basis])
 
 
+def _corrupted_basis(built, tmp_path_factory, name, corrupt, binary=False):
+    """A copy of the built basis with one artifact passed through corrupt."""
+    basis = str(tmp_path_factory.mktemp("basis") / "basis")
+    shutil.copytree(built["out"], basis)
+    path = os.path.join(basis, name)
+    mode = "b" if binary else ""
+    with open(path, "r" + mode) as fh:
+        content = fh.read()
+    with open(path, "w" + mode) as fh:
+        fh.write(corrupt(content))
+    return basis
+
+
 @pytest.mark.parametrize("command,name,corrupt", [
     ("solve", "cmatrix.csv", _drop_last_line),
     ("solve", "cmatrix.csv", _drop_last_entry_of_second_line),
@@ -380,26 +403,28 @@ def _run_on_basis(built, command, basis, out):
     ("solve", "gridrows.npy", _edit_npy(lambda rows: rows[:-1])),
     ("solve", "gridrows.npy", _edit_npy(_set_nan)),
     ("solve", "gridrows.npy", _edit_npy(lambda rows: rows.astype(object))),
+    ("solve", "gridrows.npy", lambda b: b[:8] + bytes([1]) + b[9:]),
+    ("solve", "cmatrix.csv", lambda t: ""),
+    ("solve", "powergrid.csv", lambda t: t.splitlines(True)[0]),
 ], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
         "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
         "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
         "selected-unknown-kind", "selected-wrong-dimension", "kernel-no-equals",
         "trace-bad-header", "trace-short-row", "trace-no-rows",
         "selected-nan-coordinate", "gridrows-truncated", "gridrows-row-count",
-        "gridrows-nan", "gridrows-pickled"])
-def test_malformed_artifact_exits_2_naming_file(built, tmp_path, capsys,
+        "gridrows-nan", "gridrows-pickled", "gridrows-header-length", "cmatrix-empty",
+        "powergrid-no-rows"])
+def test_malformed_artifact_exits_2_naming_file(built, tmp_path_factory, capsys,
                                                 command, name, corrupt):
-    basis = str(tmp_path / "basis")
-    shutil.copytree(built["out"], basis)
-    path = os.path.join(basis, name)
-    binary = "b" if name.endswith(".npy") else ""
-    with open(path, "r" + binary) as fh:
-        content = fh.read()
-    with open(path, "w" + binary) as fh:
-        fh.write(corrupt(content))
+    basis = _corrupted_basis(built, tmp_path_factory, name, corrupt,
+                             binary=name.endswith(".npy"))
     capsys.readouterr()
-    assert _run_on_basis(built, command, basis, str(tmp_path / "s")) == 2
+    # pytest intercepts warnings before they reach stderr, so record them
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_on_basis(built, command, basis, basis + "-solved") == 2
     assert name in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
 
 
 _SEPARATORS = ", ="
@@ -425,26 +450,43 @@ def _corrupt_text(data, text):
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-@given(st.sampled_from([("report", "trace.csv"), ("solve", "selected.txt"),
-                        ("solve", "cmatrix.csv"), ("solve", "kernel.txt")]),
-       st.data())
-def test_corrupted_text_artifact_never_raises(built, tmp_path_factory, target, data):
-    command, name = target
-    tmp = tmp_path_factory.mktemp("fuzz")
-    basis = str(tmp / "basis")
-    shutil.copytree(built["out"], basis)
-    path = os.path.join(basis, name)
-    with open(path) as fh:
-        text = fh.read()
-    with open(path, "w") as fh:
-        fh.write(_corrupt_text(data, text))
+def _assert_exit_names_file(built, command, basis, name):
+    """The command on the basis exits 0, 2 or 3, and on 2 names the file
+    (or, for a corrupted value the config catches, the key)."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        rc = _run_on_basis(built, command, basis, str(tmp / "s"))
+        rc = _run_on_basis(built, command, basis, basis + "-solved")
     assert rc in (0, 2, 3)
     if rc == 2:
         msg = err.getvalue()
         assert name in msg or any(f"error: {k}:" in msg for k in _CONFIG_KEYS), msg
+
+
+@given(st.sampled_from([("report", "trace.csv"), ("solve", "selected.txt"),
+                        ("solve", "cmatrix.csv"), ("solve", "kernel.txt"),
+                        ("solve", "powergrid.csv")]),
+       st.data())
+def test_corrupted_text_artifact_never_raises(built, tmp_path_factory, target, data):
+    command, name = target
+    basis = _corrupted_basis(built, tmp_path_factory, name,
+                             lambda text: _corrupt_text(data, text))
+    _assert_exit_names_file(built, command, basis, name)
+
+
+def _corrupt_bytes(data, raw):
+    """Cut the bytes at a position or overwrite the byte there; positions in
+    the leading 128 bytes (the .npy header) are drawn as often as the rest."""
+    at = data.draw(st.one_of(st.integers(0, 127), st.integers(0, len(raw) - 1)))
+    if data.draw(st.booleans()):
+        return raw[:at]
+    return raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+
+
+@given(st.data())
+def test_corrupted_grid_rows_never_raise(built, tmp_path_factory, data):
+    basis = _corrupted_basis(built, tmp_path_factory, "gridrows.npy",
+                             lambda raw: _corrupt_bytes(data, raw), binary=True)
+    _assert_exit_names_file(built, "solve", basis, "gridrows.npy")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpstrf
 
+import greedypde.functionals as functionals
+from greedypde.engine import run
 from greedypde.functionals import (
+    BilaplacianTable,
     FunctionalSet,
     GaussianBump,
     PowerCusp,
@@ -24,7 +27,7 @@ from greedypde.functionals import (
     write_functionals,
 )
 from greedypde.geometry import disk_candidates
-from greedypde.kernels import KernelSpec, kernel_value, laplacian_y
+from greedypde.kernels import KernelSpec, kernel_value, laplacian_y, radial_bilaplacian
 
 SPEC = KernelSpec(m=4, d=2)
 
@@ -101,6 +104,64 @@ def test_dual_inner_column_matches_scalar_path():
             expected = np.array([dual_inner(g, f, spec) for g in fset.entries])
             col = dual_inner_column(f, fset, spec)
             assert np.array_equal(col, expected), f.kind
+
+
+def test_shared_table_columns_match_scalar_path():
+    # one table through a run of D and B columns, as a greedy run uses it
+    geometry = disk_candidates(80, 12)
+    fset = disk_functional_set(geometry, domain_weight=0.7, boundary_weight=1.3)
+    n_dom = fset.counts[0]
+    for spec in (KernelSpec(m=4, d=2, scale=0.8), KernelSpec(m=6, d=2, scale=1.7)):
+        table = BilaplacianTable(spec)
+        sizes = []
+        for i in (5, n_dom + 2, 5, 40, len(fset) - 1, 41):
+            f = fset.entries[i]
+            expected = np.array([dual_inner(g, f, spec) for g in fset.entries])
+            assert np.array_equal(dual_inner_column(f, fset, spec, table), expected), i
+            sizes.append(len(table))
+        assert sizes[0] > 0
+        assert sizes[1] == sizes[0]  # a B column leaves the table alone
+        assert sizes[2] == sizes[1]  # the repeated D centre: all hits
+        assert sizes[3] > sizes[2]   # a new D centre: fresh misses
+        with pytest.raises(ValueError):
+            dual_inner_column(fset.entries[5], fset, SPEC, table)
+
+
+def test_bilaplacian_table_lookup_equals_direct_evaluation(rng):
+    # duplicates within and across lookups, t = 0, and growth far past the
+    # initial capacity
+    spec = KernelSpec(m=6, d=2, scale=1.7)
+    table = BilaplacianTable(spec)
+    pool = np.concatenate([[0.0], rng.uniform(0.0, 3.0, 3000)])
+    seen = set()
+    for _ in range(8):
+        t = rng.choice(pool, 900)
+        assert np.array_equal(table.lookup(t), radial_bilaplacian(spec, t))
+        seen.update(t.tolist())
+        assert len(table) == len(seen)
+
+
+def test_bilaplacian_table_evaluates_each_radius_once(monkeypatch):
+    evaluated = []
+
+    def counting(spec, t):
+        evaluated.extend(np.asarray(t).tolist())
+        return radial_bilaplacian(spec, t)
+
+    monkeypatch.setattr(functionals, "radial_bilaplacian", counting)
+    fset = disk_functional_set(disk_candidates(300, 30))
+    spec = KernelSpec(m=6, d=2)
+    table = BilaplacianTable(spec)
+    dual_inner_column(fset.entries[7], fset, spec, table)
+    first = len(evaluated)
+    assert first == len(table) > 0
+    dual_inner_column(fset.entries[7], fset, spec, table)
+    assert len(evaluated) == first  # a repeated D centre evaluates no radius
+
+    evaluated.clear()
+    state, trace = run(fset, spec, n_max=25)
+    assert trace.kind.count("D") > 1
+    assert len(evaluated) == len(set(evaluated)) == len(state.dd_table)
 
 
 def test_self_inner_column_matches_scalar_path():

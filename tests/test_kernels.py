@@ -15,6 +15,7 @@ from greedypde.kernels import (
     kernel_value,
     laplacian_y,
     radial_stack,
+    scaled_distance,
 )
 
 SPEC42 = KernelSpec(m=4, d=2, scale=1.0)
@@ -182,6 +183,17 @@ def test_stack_equals_per_order_kv_exactly(m, d, scale, radii, seed):
     expected = per_order_evaluators(spec, x, y)
     for fn, want in zip((kernel_value, laplacian_y, bilaplacian), expected):
         assert np.array_equal(fn(spec, x, y), want), fn.__name__
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_scaled_distance_equals_norm_exactly(rng, d):
+    # point sets, single points and the broadcast pairs gram() forms
+    spec = KernelSpec(m=5, d=d, scale=0.7)
+    x = rng.uniform(-1, 1, size=(40, d))
+    y = rng.uniform(-1, 1, size=(40, d))
+    for a, b in ((x, y), (x, y[3]), (x[5], y[7]), (x[:, None, :], y[None, :, :])):
+        want = np.linalg.norm(a - b, axis=-1) / spec.scale
+        assert np.array_equal(scaled_distance(spec, a, b), want)
 
 
 @pytest.mark.parametrize("m", [4, 6])
