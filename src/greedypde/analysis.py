@@ -1,10 +1,14 @@
 """Trace post-processing: log-log rate fits, triangular condition estimates
-and singular-value decay of basis-value matrices."""
+and singular-value decay of basis-value matrices.
+
+scipy.linalg loads inside the condition estimate and singular_values, which
+a build calls at every step; `report` needs only fit_rate, so it runs
+without SciPy.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular, svdvals
 
 from .errors import NumericalError
 
@@ -33,6 +37,8 @@ def fit_rate(xs, ys, window: tuple[float, float] | None = None) -> float:
 
 def _hager_inverse_norm1(tri: np.ndarray, max_iter: int = 5) -> float:
     """Deterministic Hager estimate of ||C^{-1}||_1 via triangular solves."""
+    from scipy.linalg import solve_triangular
+
     n = tri.shape[0]
     x = np.full(n, 1.0 / n)
     best = 0.0
@@ -72,4 +78,6 @@ def singular_values(matrix) -> np.ndarray:
         raise ValueError("singular_values needs a 2-d matrix")
     if min(M.shape) == 0:
         return np.zeros(0)
+    from scipy.linalg import svdvals
+
     return svdvals(M)

@@ -62,11 +62,11 @@ def _fresh_outdir(out_dir: str) -> str:
     return tmp
 
 
-def _read_artifact(reader, path: str):
-    """reader(path), with a malformed file reported as a ConfigError that
-    names it."""
+def _read_artifact(reader, path: str, *args):
+    """reader(path, *args), with a malformed file reported as a ConfigError
+    that names it."""
     try:
-        return reader(path)
+        return reader(path, *args)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -88,18 +88,20 @@ def basis_on_grid(basis_dir: str, state: GreedyState,
                   points: np.ndarray) -> solver.BasisEvaluation:
     """The stored basis on the points.
 
-    When the basis directory holds gridrows.npy and its build grid (the x1,x2
-    columns of powergrid.csv) is exactly these points, the values are C times
-    the raw representer rows `build` stored, and no kernel is evaluated;
-    otherwise they come from `evaluate_basis`.
+    When the basis directory holds gridrows.npy with its checksum
+    gridrows.crc32, and its build grid (the x1,x2 columns of powergrid.csv)
+    is exactly these points, the values are C times the raw representer rows
+    `build` stored, and no kernel is evaluated; otherwise they come from
+    `evaluate_basis`.
     """
     rows_path = os.path.join(basis_dir, "gridrows.npy")
-    if os.path.exists(rows_path):
+    crc_path = os.path.join(basis_dir, "gridrows.crc32")
+    if os.path.exists(rows_path) and os.path.exists(crc_path):
         _, table = _read_artifact(runio.read_table_csv,
                                   os.path.join(basis_dir, "powergrid.csv"))
         stored = table[:, :2]
         if stored.shape == points.shape and stored.tobytes() == points.tobytes():
-            raw = _read_artifact(runio.read_grid_rows, rows_path)
+            raw = _read_artifact(runio.read_grid_rows, rows_path, crc_path)
             if raw.shape != (state.n, len(points)):
                 raise ConfigError(f"{rows_path}: shape {raw.shape} does not match "
                                   f"the {state.n} functionals of selected.txt on "
@@ -179,7 +181,8 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
             ["x1", "x2", "p2_delta"],
             [grid.points[:, 0], grid.points[:, 1], trace.grid_power],
         )
-        runio.write_grid_rows(os.path.join(tmp, "gridrows.npy"), trace.grid_rows)
+        runio.write_grid_rows(os.path.join(tmp, "gridrows.npy"),
+                              os.path.join(tmp, "gridrows.crc32"), trace.grid_rows)
         runio.write_params(os.path.join(tmp, "kernel.txt"),
                            {"m": cfg.m, "d": cfg.d, "scale": cfg.scale})
         with open(os.path.join(tmp, "config.txt"), "w") as fh:

@@ -37,7 +37,7 @@ from .functionals import (
     self_inner_column,
 )
 from .geometry import EvalGrid, fill_distance
-from .kernels import KernelSpec, kernel_value
+from .kernels import KernelSpec, distance, kernel_value
 
 # Power drop factor under which a second orthogonalization pass runs
 # (twice-is-enough Gram-Schmidt).
@@ -336,11 +336,11 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
 
         p = fset.points[chosen]
         if is_boundary:
-            d = np.linalg.norm(bnd_ref - p, axis=1)
+            d = distance(bnd_ref, p)
             dmin_bnd = d if dmin_bnd is None else np.minimum(dmin_bnd, d)
             h_bnd = float(dmin_bnd.max())
         else:
-            d = np.linalg.norm(dom_ref - p, axis=1)
+            d = distance(dom_ref, p)
             dmin_dom = d if dmin_dom is None else np.minimum(dmin_dom, d)
             h_dom = float(dmin_dom.max())
 

@@ -1,4 +1,9 @@
-"""Unit-disk candidate geometry, evaluation grids and fill distances."""
+"""Unit-disk candidate geometry, evaluation grids and fill distances.
+
+scipy.spatial loads inside the two functions that use it, _diameter and
+fill_distance, which a greedy run calls; `solve` and `report` import this
+module without loading SciPy.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 BOUNDARY_TOL = 1e-12
 
@@ -53,6 +57,8 @@ def disk_candidates(target_domain_count: int, target_boundary_count: int) -> Dis
 
 
 def _diameter(points: np.ndarray) -> float:
+    from scipy.spatial import ConvexHull, QhullError
+
     if len(points) < 2:
         return 0.0
     try:
@@ -70,6 +76,8 @@ def fill_distance(selected, reference) -> float:
     selected = np.asarray(selected, dtype=float)
     if selected.size == 0:
         return _diameter(reference)
+    from scipy.spatial import cKDTree
+
     selected = np.atleast_2d(selected)
     dist, _ = cKDTree(selected).query(reference)
     return float(np.max(dist))

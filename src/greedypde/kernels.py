@@ -38,6 +38,11 @@ of the radii.  Above t = 600, where kv rescales against underflow, the
 orders above 1 are taken from kv again.  A Laplacian or bilaplacian thus
 costs two kv calls whatever nu is.  Non-integer orders (odd d) and
 single-order requests such as kernel_value call kv once per order.
+
+SciPy loads on the first kv call, not when this module is imported: a
+`solve` from stored grid rows evaluates the kernel only at t = 0 (for
+K(x, x)), where the analytic limit needs no Bessel function, so it and
+`report` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import kv
 
 # Below this scaled radius r^mu K_mu(r) is replaced by its analytic limit:
 # the removable singularity is the only regime where the product cancels.
@@ -101,6 +105,15 @@ class RadialStack:
     singular: np.ndarray
 
 
+def kv(order, t):
+    """scipy.special.kv(order, t); SciPy loads on the first call.
+
+    Looked up as a module global at every call, so a test can count calls.
+    """
+    from scipy.special import kv as scipy_kv
+    return scipy_kv(order, t)
+
+
 def bessel_k(order: float, r):
     """Modified Bessel function of the second kind, K_order(r).
 
@@ -131,7 +144,10 @@ def _bessel_orders(orders, t: np.ndarray) -> list[np.ndarray]:
     rz, rz + rz, ... (rz = 2/t): kv's own arithmetic, so each value equals
     kv(n, t) bit for bit.  Above _RECURRENCE_MAX, a margin below where kv
     starts rescaling against underflow, orders above 1 come from kv again.
+    An empty t (every radius below _LIMIT_RADIUS) makes no kv call.
     """
+    if t.size == 0:
+        return [t.copy() for _ in orders]
     if len(set(orders)) == 1 or not all(float(o).is_integer() for o in orders):
         return [kv(o, t) for o in orders]
     top = int(max(orders))
@@ -168,20 +184,25 @@ def _phi_terms(t: np.ndarray, terms) -> list[np.ndarray]:
     return out
 
 
-def scaled_distance(spec: KernelSpec, x, y) -> np.ndarray:
-    """t = ||x - y|| / scale over the trailing coordinate axis.
+def distance(x, y) -> np.ndarray:
+    """||x - y|| over the trailing coordinate axis.
 
     The squared coordinates are summed in order, which is how
     np.linalg.norm(x - y, axis=-1) sums them, so the bits are the same; a
     sum per coordinate avoids norm's reduction over rows of length d, which
     costs several times more.
     """
+    diff = np.moveaxis(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), -1, 0)
+    return np.sqrt(sum(c * c for c in diff))
+
+
+def scaled_distance(spec: KernelSpec, x, y) -> np.ndarray:
+    """t = ||x - y|| / scale over the trailing coordinate axis (see distance)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != spec.d or y.shape[-1] != spec.d:
         raise ValueError(f"points must have {spec.d} coordinates")
-    diff = np.moveaxis(x - y, -1, 0)
-    return np.sqrt(sum(c * c for c in diff)) / spec.scale
+    return distance(x, y) / spec.scale
 
 
 def radial_stack(spec: KernelSpec, r: float) -> RadialStack:

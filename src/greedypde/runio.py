@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import tokenize
+import zlib
 
 import numpy as np
 
@@ -111,15 +112,41 @@ def read_table_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# raw representer rows on the evaluation grid (gridrows.npy)
+# raw representer rows on the evaluation grid (gridrows.npy), checked by the
+# CRC-32 of the whole file, kept as one decimal line (gridrows.crc32)
 
 
-def write_grid_rows(path, rows: np.ndarray) -> None:
+def _file_crc32(path) -> int:
+    crc = 0
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 16):
+            crc = zlib.crc32(block, crc)
+    return crc
+
+
+def write_grid_rows(path, checksum_path, rows: np.ndarray) -> None:
     np.save(path, rows)
+    with open(checksum_path, "w") as fh:
+        fh.write(f"{_file_crc32(path)}\n")
 
 
-def read_grid_rows(path) -> np.ndarray:
-    """A 2-D, finite float64 array; anything else raises ValueError."""
+def read_grid_rows(path, checksum_path) -> np.ndarray:
+    """A 2-D, finite float64 array from a file whose CRC-32 is the one in
+    checksum_path; anything else raises ValueError.
+
+    The checksum covers the header as well as the data, since np.load reads
+    some altered headers (other padding whitespace, another spelling of the
+    byte order) as the original.
+    """
+    with open(checksum_path, "rb") as fh:
+        text = fh.read()
+    try:
+        expected = int(text)
+    except ValueError:
+        raise ValueError(f"{checksum_path} holds {text[:40]!r}, not a CRC-32") from None
+    actual = _file_crc32(path)
+    if actual != expected:
+        raise ValueError(f"CRC-32 is {actual}, but {checksum_path} records {expected}")
     try:
         rows = np.load(path, allow_pickle=False)
     except EOFError as exc:

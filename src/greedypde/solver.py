@@ -4,7 +4,9 @@ The orthonormal basis functions are v_{mu_k}(x) = sum_j C[k,j] v_{lam_j}(x)
 over the Riesz representers of the selected functionals; the projection of u
 onto their span is sum_k mu_k(u) v_{mu_k} with coefficients obtained from the
 raw data by the triangular transform.  A dense symmetric-collocation solve is
-provided as the independent oracle for the whole pipeline.
+provided as the independent oracle for the whole pipeline; it imports
+scipy.linalg when it is called, not when this module is imported, so that a
+solve from stored grid rows runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .engine import GreedyState
 from .errors import NumericalError
@@ -91,6 +92,8 @@ def direct_collocation_solve(fset: FunctionalSet, selected, data,
     Raises NumericalError when the Gram cannot be factorized, which is the
     expected failure mode for large selections; intended for modest N.
     """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
     selected = list(selected)
     entries = [fset.entries[i] for i in selected]
     A = gram(entries, spec)

@@ -4,7 +4,10 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -143,7 +146,7 @@ def built(tmp_path_factory):
 
 def test_build_writes_all_artifacts(built):
     expected = {"trace.csv", "selected.txt", "cmatrix.csv", "powergrid.csv",
-                "gridrows.npy", "report.txt", "rates.csv", "kernel.txt",
+                "gridrows.npy", "gridrows.crc32", "report.txt", "rates.csv", "kernel.txt",
                 "config.txt", "make_plots.py"}
     assert expected <= set(os.listdir(built["out"]))
 
@@ -287,6 +290,13 @@ def _count_riesz_rows(monkeypatch):
     return calls
 
 
+def _assert_same_solve_outputs(out1, out2):
+    for name in ("errors.csv", "coeffs.csv", "solution.csv"):
+        b1 = open(os.path.join(out1, name), "rb").read()
+        b2 = open(os.path.join(out2, name), "rb").read()
+        assert b1 == b2, name
+
+
 def test_solve_from_stored_rows_matches_recomputation(built, tmp_path):
     basis = str(tmp_path / "basis")
     shutil.copytree(built["out"], basis)
@@ -296,10 +306,7 @@ def test_solve_from_stored_rows_matches_recomputation(built, tmp_path):
                  "--out", stored]) == 0
     assert main(["solve", "--config", built["cfg"], "--basis", basis,
                  "--out", recomputed]) == 0
-    for name in ("errors.csv", "coeffs.csv", "solution.csv"):
-        b1 = open(os.path.join(stored, name), "rb").read()
-        b2 = open(os.path.join(recomputed, name), "rb").read()
-        assert b1 == b2, name
+    _assert_same_solve_outputs(stored, recomputed)
 
 
 def test_solve_from_stored_rows_evaluates_no_kernel(built, tmp_path, monkeypatch):
@@ -307,6 +314,42 @@ def test_solve_from_stored_rows_evaluates_no_kernel(built, tmp_path, monkeypatch
     assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
                  "--out", str(tmp_path / "s")]) == 0
     assert calls == []
+
+
+def test_solve_without_checksum_falls_back(built, tmp_path, monkeypatch):
+    # a basis built before gridrows.crc32 existed is solved as if it had no rows
+    basis = str(tmp_path / "basis")
+    shutil.copytree(built["out"], basis)
+    os.remove(os.path.join(basis, "gridrows.crc32"))
+    stored, recomputed = str(tmp_path / "stored"), str(tmp_path / "recomputed")
+    assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
+                 "--out", stored]) == 0
+    calls = _count_riesz_rows(monkeypatch)
+    assert main(["solve", "--config", built["cfg"], "--basis", basis,
+                 "--out", recomputed]) == 0
+    assert len(calls) == 40
+    _assert_same_solve_outputs(stored, recomputed)
+
+
+_NO_SCIPY_CHILD = """\
+import sys
+from greedypde.cli import main
+cfg, basis = sys.argv[1:]
+assert main(["solve", "--config", cfg, "--basis", basis, "--out", basis + "-solved"]) == 0
+assert main(["report", "--config", cfg, "--out", basis]) == 0
+print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_stored_rows_solve_and_report_load_no_scipy(built, tmp_path):
+    basis = str(tmp_path / "basis")
+    shutil.copytree(built["out"], basis)
+    src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, built["cfg"], basis],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == ""
 
 
 @pytest.mark.parametrize("override", ["grid_spacing = 0.1", "boundary_count = 24"])
@@ -383,6 +426,15 @@ def _corrupted_basis(built, tmp_path_factory, name, corrupt, binary=False):
     return basis
 
 
+def _reseal_grid_rows(basis):
+    """Record the CRC-32 of gridrows.npy as it now is, so that the file's own
+    checks, not the checksum, have to catch what is wrong with it."""
+    with open(os.path.join(basis, "gridrows.npy"), "rb") as fh:
+        crc = zlib.crc32(fh.read())
+    with open(os.path.join(basis, "gridrows.crc32"), "w") as fh:
+        fh.write(f"{crc}\n")
+
+
 @pytest.mark.parametrize("command,name,corrupt", [
     ("solve", "cmatrix.csv", _drop_last_line),
     ("solve", "cmatrix.csv", _drop_last_entry_of_second_line),
@@ -406,6 +458,8 @@ def _corrupted_basis(built, tmp_path_factory, name, corrupt, binary=False):
     ("solve", "gridrows.npy", lambda b: b[:8] + bytes([1]) + b[9:]),
     ("solve", "cmatrix.csv", lambda t: ""),
     ("solve", "powergrid.csv", lambda t: t.splitlines(True)[0]),
+    ("solve", "gridrows.crc32", lambda t: f"{int(t) ^ 1}\n"),
+    ("solve", "gridrows.crc32", lambda t: "abc\n"),
 ], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
         "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
         "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
@@ -413,11 +467,13 @@ def _corrupted_basis(built, tmp_path_factory, name, corrupt, binary=False):
         "trace-bad-header", "trace-short-row", "trace-no-rows",
         "selected-nan-coordinate", "gridrows-truncated", "gridrows-row-count",
         "gridrows-nan", "gridrows-pickled", "gridrows-header-length", "cmatrix-empty",
-        "powergrid-no-rows"])
+        "powergrid-no-rows", "gridrows-wrong-checksum", "gridrows-non-numeric-checksum"])
 def test_malformed_artifact_exits_2_naming_file(built, tmp_path_factory, capsys,
                                                 command, name, corrupt):
     basis = _corrupted_basis(built, tmp_path_factory, name, corrupt,
                              binary=name.endswith(".npy"))
+    if name == "gridrows.npy":
+        _reseal_grid_rows(basis)
     capsys.readouterr()
     # pytest intercepts warnings before they reach stderr, so record them
     with warnings.catch_warnings(record=True) as caught:
@@ -452,7 +508,7 @@ _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
 def _assert_exit_names_file(built, command, basis, name):
     """The command on the basis exits 0, 2 or 3, and on 2 names the file
-    (or, for a corrupted value the config catches, the key)."""
+    (or, for a corrupted value the config catches, the key); the exit code."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = _run_on_basis(built, command, basis, basis + "-solved")
@@ -460,6 +516,7 @@ def _assert_exit_names_file(built, command, basis, name):
     if rc == 2:
         msg = err.getvalue()
         assert name in msg or any(f"error: {k}:" in msg for k in _CONFIG_KEYS), msg
+    return rc
 
 
 @given(st.sampled_from([("report", "trace.csv"), ("solve", "selected.txt"),
@@ -484,9 +541,18 @@ def _corrupt_bytes(data, raw):
 
 @given(st.data())
 def test_corrupted_grid_rows_never_raise(built, tmp_path_factory, data):
-    basis = _corrupted_basis(built, tmp_path_factory, "gridrows.npy",
-                             lambda raw: _corrupt_bytes(data, raw), binary=True)
-    _assert_exit_names_file(built, "solve", basis, "gridrows.npy")
+    changed = []
+
+    def corrupt(raw):
+        out = _corrupt_bytes(data, raw)
+        changed.append(out != raw)
+        return out
+
+    basis = _corrupted_basis(built, tmp_path_factory, "gridrows.npy", corrupt,
+                             binary=True)
+    rc = _assert_exit_names_file(built, "solve", basis, "gridrows.npy")
+    # any change to the file fails its checksum: never a silently wrong solve
+    assert not (changed[0] and rc == 0)
 
 
 # ---------------------------------------------------------------------------

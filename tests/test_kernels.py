@@ -12,11 +12,17 @@ from greedypde.kernels import (
     KernelSpec,
     bessel_k,
     bilaplacian,
+    distance,
     kernel_value,
     laplacian_y,
+    radial_kernel,
     radial_stack,
     scaled_distance,
 )
+from greedypde.engine import init
+from greedypde.functionals import disk_functional_set
+from greedypde.geometry import disk_candidates
+from greedypde.solver import BasisEvaluation, power_on_deltas
 
 SPEC42 = KernelSpec(m=4, d=2, scale=1.0)
 
@@ -192,8 +198,9 @@ def test_scaled_distance_equals_norm_exactly(rng, d):
     x = rng.uniform(-1, 1, size=(40, d))
     y = rng.uniform(-1, 1, size=(40, d))
     for a, b in ((x, y), (x, y[3]), (x[5], y[7]), (x[:, None, :], y[None, :, :])):
-        want = np.linalg.norm(a - b, axis=-1) / spec.scale
-        assert np.array_equal(scaled_distance(spec, a, b), want)
+        norm = np.linalg.norm(a - b, axis=-1)
+        assert np.array_equal(distance(a, b), norm)
+        assert np.array_equal(scaled_distance(spec, a, b), norm / spec.scale)
 
 
 @pytest.mark.parametrize("m", [4, 6])
@@ -211,6 +218,24 @@ def test_kv_calls_per_evaluation(monkeypatch, rng, m):
         calls.clear()
         fn(spec, x, y)
         assert 1 <= len(calls) <= most, (fn.__name__, calls)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_kernel_on_the_diagonal_calls_no_kv(monkeypatch, m):
+    # K(x, x) is the analytic limit 2^(nu-1) Gamma(nu): a solve from stored
+    # grid rows needs it for the power function and must not load SciPy
+    calls = []
+    monkeypatch.setattr(kernels, "kv", lambda order, t: calls.append(order))
+    spec = KernelSpec(m=m, d=2)
+    kxx = 2.0 ** (spec.nu - 1) * math.gamma(spec.nu)
+    origin = np.zeros(2)
+    assert radial_kernel(spec, 0.0) == kxx
+    assert kernel_value(spec, origin, origin) == kxx
+    state = init(disk_functional_set(disk_candidates(20, 8)), spec)
+    values = np.array([[0.5, -1.0, 0.0]])
+    basis = BasisEvaluation(points=np.zeros((3, 2)), values=values)
+    assert np.array_equal(power_on_deltas(state, basis), kxx - values[0] ** 2)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
