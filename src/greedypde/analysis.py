@@ -36,17 +36,34 @@ def fit_rate(xs, ys, window: tuple[float, float] | None = None) -> float:
 
 
 def _hager_inverse_norm1(tri: np.ndarray, max_iter: int = 5) -> float:
-    """Deterministic Hager estimate of ||C^{-1}||_1 via triangular solves."""
-    from scipy.linalg import solve_triangular
+    """Deterministic Hager estimate of ||C^{-1}||_1 via triangular solves.
+
+    tri is C-ordered.  The solves call LAPACK trtrs the way
+    scipy.linalg.solve_triangular does for such a matrix, on tri.T (Fortran
+    order) as an upper matrix with the transpose flag flipped, so the results
+    are its bits without its per-call validation.
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    if not np.isfinite(tri).all():
+        raise ValueError("array must not contain infs or NaNs")
+    (trtrs,) = get_lapack_funcs(("trtrs",), (tri,))
+    upper = tri.T
+
+    def solve(b, trans):
+        x, info = trtrs(upper, b, lower=False, trans=1 - trans)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"trtrs failed with info = {info}")
+        return x
 
     n = tri.shape[0]
     x = np.full(n, 1.0 / n)
     best = 0.0
     for _ in range(max_iter):
-        y = solve_triangular(tri, x, lower=True)
+        y = solve(x, 0)
         best = max(best, float(np.abs(y).sum()))
         xi = np.where(y >= 0.0, 1.0, -1.0)
-        z = solve_triangular(tri, xi, lower=True, trans="T")
+        z = solve(xi, 1)
         j = int(np.argmax(np.abs(z)))
         if abs(z[j]) <= float(z @ x):
             break
@@ -59,7 +76,7 @@ def condition_estimate(tri) -> float:
     """1-norm condition estimate ||C||_1 * est(||C^{-1}||_1) of a
     lower-triangular matrix; the inverse norm comes from Hager-style probe
     iterations, never from an explicit inverse."""
-    tri = np.asarray(tri, dtype=float)
+    tri = np.ascontiguousarray(tri, dtype=float)
     if tri.ndim != 2 or tri.shape[0] != tri.shape[1]:
         raise ValueError("condition_estimate needs a square matrix")
     n = tri.shape[0]

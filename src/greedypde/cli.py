@@ -225,11 +225,17 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     data = data_vector(state.fset, range(state.n), problem)
     mu = solver.data_to_newton(state, data)
     basis = basis_on_grid(basis_dir, state, grid.points)
+    p_delta = np.sqrt(solver.power_on_deltas(state, basis, spec))
     u_true = problem.value(grid.points)
 
-    partial = mu[:, None] * basis.values
+    # The basis values become the partial sums and then their errors in
+    # place, so no N x P array is held beside them.
+    partial = basis.values
+    partial *= mu[:, None]
     np.cumsum(partial, axis=0, out=partial)
-    errors = np.abs(u_true[None, :] - partial).max(axis=1)
+    u_approx = partial[-1].copy()
+    np.subtract(u_true, partial, out=partial)
+    errors = np.abs(partial, out=partial).max(axis=1)
     if not errors[0] > 0.0:
         raise ConfigError(
             f"problem: the error at N=1 is {errors[0]!r} on the evaluation grid, "
@@ -249,12 +255,11 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
             ["N", "coeff_sq_cumsum"],
             [steps, np.cumsum(mu**2)],
         )
-        p_delta = np.sqrt(solver.power_on_deltas(state, basis, spec))
         runio.write_table_csv(
             os.path.join(tmp, "solution.csv"),
             ["x1", "x2", "u_true", "u_approx", "abs_error", "power_delta"],
-            [grid.points[:, 0], grid.points[:, 1], u_true, partial[-1],
-             np.abs(u_true - partial[-1]), p_delta],
+            [grid.points[:, 0], grid.points[:, 1], u_true, u_approx,
+             np.abs(u_true - u_approx), p_delta],
         )
         with open(os.path.join(tmp, "config.txt"), "w") as fh:
             fh.write(dump_config(cfg))

@@ -6,7 +6,11 @@ selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
 is (N+2)|Lambda| floats plus the C triangle; each step costs O(N |Lambda|)
-plus one kernel column over the set.  The operator-delta half of a column is
+plus one kernel column over the set.  `run` allocates the Newton columns, C
+and the grid tracker's raw rows once for n_max rows and never copies them;
+np.zeros commits pages only as rows are written, so the rows a converged run
+never reaches cost no resident memory.  A state driven through init/extend
+directly grows its arrays by doubling.  The operator-delta half of a column is
 the bilaplacian at radii that recur from step to step, so the state keeps one
 table of them (functionals.BilaplacianTable) and each distinct radius is
 evaluated once per run, at the cost of one float pair of storage per
@@ -46,7 +50,8 @@ REORTH_THRESHOLD = 1e-6
 # Relative residual floor: anything below -1e-6 * diag signals a broken Gram.
 _NEGATIVE_FLOOR = 1e-6
 
-# Rows allocated up front for the per-step arrays; they double when full.
+# Rows allocated up front for the per-step arrays of a state that is not
+# sized for a run; they double when full.
 _INITIAL_CAPACITY = 16
 
 
@@ -60,9 +65,11 @@ def _with_capacity(arr: np.ndarray, cap: int, n: int, axes: int = 1) -> np.ndarr
 
 
 class GreedyState:
-    """Mutable selection state over a fixed functional set."""
+    """Mutable selection state over a fixed functional set, with room for
+    `rows` selected functionals before its arrays grow."""
 
-    def __init__(self, fset: FunctionalSet, spec: KernelSpec):
+    def __init__(self, fset: FunctionalSet, spec: KernelSpec,
+                 rows: int = _INITIAL_CAPACITY):
         self.fset = fset
         self.spec = spec
         self.diag = self_inner_column(fset, spec)
@@ -70,17 +77,16 @@ class GreedyState:
         self.selected: list[int] = []
         # operator-delta pair values, shared by every column of the run
         self.dd_table = BilaplacianTable(spec)
-        self._columns = np.zeros((_INITIAL_CAPACITY, len(fset)))
-        self._c = np.zeros((_INITIAL_CAPACITY, _INITIAL_CAPACITY))
+        self._columns = np.zeros((rows, len(fset)))
+        self._c = np.zeros((rows, rows))
 
     @classmethod
     def from_coefficients(cls, fset: FunctionalSet, spec: KernelSpec,
                           c_matrix: np.ndarray) -> GreedyState:
         """State whose selection is the whole set, in order, with the given
         N x N coefficient matrix (only its lower triangle is kept)."""
-        state = cls(fset, spec)
         n = len(fset)
-        state._columns = np.zeros((n, n))
+        state = cls(fset, spec, rows=n)
         state._c = np.tril(c_matrix)
         state.selected = list(range(n))
         return state
@@ -95,23 +101,28 @@ class GreedyState:
         return self._columns[: self.n]
 
     def c_matrix(self) -> np.ndarray:
-        """Dense lower-triangular copy of the coefficient matrix."""
-        return np.tril(self._c[: self.n, : self.n])
+        """Dense lower-triangular copy of the coefficient matrix (the storage
+        above the diagonal is never written, so it is zero)."""
+        return self._c[: self.n, : self.n].copy()
 
     def sigma(self) -> float:
         """Current sup of the power function over the candidate set."""
         return math.sqrt(max(float(self.residual_power.max()), 0.0))
 
     def bulk_float_count(self) -> int:
-        """Floats allocated in the bulk arrays (storage-contract counter)."""
+        """Floats allocated in the bulk arrays (storage-contract counter).
+
+        A state sized for a run counts its n_max rows from the first step on,
+        whether or not their pages are committed yet."""
         return self._columns.size + self._c.size + self.diag.size + self.residual_power.size
 
     def _reserve_row(self) -> None:
         """Make room for one more selected functional."""
         n = self.n
         if n == len(self._c):
-            self._columns = _with_capacity(self._columns, 2 * n, n)
-            self._c = _with_capacity(self._c, 2 * n, n, axes=2)
+            cap = max(2 * n, _INITIAL_CAPACITY)
+            self._columns = _with_capacity(self._columns, cap, n)
+            self._c = _with_capacity(self._c, cap, n, axes=2)
 
 
 def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
@@ -161,9 +172,11 @@ def select_extended(state: GreedyState, delta_power_max: float,
     return select_standard(state, stop_tol)
 
 
-def extend(state: GreedyState, chosen: int) -> GreedyState:
+def extend(state: GreedyState, chosen: int,
+           distances: np.ndarray | None = None) -> GreedyState:
     """Add the chosen functional: new C row, new Newton column over the whole
-    set, deflated residual powers.
+    set, deflated residual powers.  `distances` is passed on to
+    dual_inner_column.
 
     The raw cross column (lam, lam_chosen) is overwritten in place by
     (lam, mu_new); a second orthogonalization pass runs when the power drop
@@ -180,7 +193,7 @@ def extend(state: GreedyState, chosen: int) -> GreedyState:
     ctri = state._c[:N, :N]
 
     w = dual_inner_column(state.fset.entries[chosen], state.fset, state.spec,
-                          state.dd_table)
+                          state.dd_table, distances)
     proj = cols[:, chosen].copy()
     if N:
         w -= proj @ cols
@@ -248,18 +261,16 @@ class _GridTracker:
     bit-identical values.
     """
 
-    def __init__(self, grid: EvalGrid, spec: KernelSpec):
+    def __init__(self, grid: EvalGrid, spec: KernelSpec, rows: int):
         self.points = grid.points
         self.spec = spec
         p = len(grid)
         self.residual = np.full(p, kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d)))
-        self._raw = np.zeros((_INITIAL_CAPACITY, p))
+        self._raw = np.zeros((rows, p))
         self.n_raw = 0
         self.n_done = 0
 
     def append_selected(self, f) -> None:
-        if self.n_raw == len(self._raw):
-            self._raw = _with_capacity(self._raw, 2 * self.n_raw, self.n_raw)
         self._raw[self.n_raw] = riesz_row(f, self.points, self.spec)
         self.n_raw += 1
 
@@ -295,20 +306,22 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     if rho_every < 1:
         raise ValueError("rho_every must be >= 1")
     n_max = len(fset) if n_max is None else n_max
-    if n_max > len(fset):
-        raise ValueError(f"n_max={n_max} exceeds the candidate count {len(fset)}")
+    if not 0 <= n_max <= len(fset):
+        raise ValueError(f"n_max={n_max} is outside [0, {len(fset)}], the candidate count")
     if mode == "extended" and eval_grid is None:
         raise ValueError("extended mode needs an evaluation grid")
 
-    state = init(fset, spec)
-    tracker = _GridTracker(eval_grid, spec) if eval_grid is not None else None
+    state = GreedyState(fset, spec, rows=n_max)
+    tracker = _GridTracker(eval_grid, spec, n_max) if eval_grid is not None else None
     if tracker is not None:
         y_indices = (np.arange(eval_grid.n_interior) if y_indices is None
                      else np.asarray(y_indices, dtype=int))
 
     bnd_idx = fset.boundary_indices
-    dom_ref = fset.points[fset.domain_mask]
-    bnd_ref = fset.points[~fset.domain_mask]
+    dom_mask = fset.domain_mask
+    bnd_mask = ~dom_mask
+    dom_ref = fset.points[dom_mask]
+    bnd_ref = fset.points[bnd_mask]
     dmin_dom = None
     dmin_bnd = None
     h_dom = fill_distance([], dom_ref) if len(dom_ref) else math.nan
@@ -329,18 +342,19 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         except Converged:
             break
 
-        is_boundary = not fset.domain_mask[chosen]
-        extend(state, chosen)
+        is_boundary = not dom_mask[chosen]
+        # one distance vector serves the kernel column and the fill distance
+        dist = distance(fset.points, fset.points[chosen])
+        extend(state, chosen, dist)
         if tracker is not None:
             tracker.append_selected(fset.entries[chosen])
 
-        p = fset.points[chosen]
         if is_boundary:
-            d = distance(bnd_ref, p)
+            d = dist[bnd_mask]
             dmin_bnd = d if dmin_bnd is None else np.minimum(dmin_bnd, d)
             h_bnd = float(dmin_bnd.max())
         else:
-            d = distance(dom_ref, p)
+            d = dist[dom_mask]
             dmin_dom = d if dmin_dom is None else np.minimum(dmin_dom, d)
             h_dom = float(dmin_dom.max())
 

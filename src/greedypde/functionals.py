@@ -202,7 +202,8 @@ def _per_distinct_radius(radial, spec: KernelSpec, t: np.ndarray) -> np.ndarray:
 
 
 def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
-                      table: BilaplacianTable | None = None) -> np.ndarray:
+                      table: BilaplacianTable | None = None,
+                      distances: np.ndarray | None = None) -> np.ndarray:
     """(lam, f) for every lam in the set, as one vector over set order.
 
     Before weighting, (lam, f) depends only on the kinds and on the scaled
@@ -212,13 +213,16 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
     pairs go through `table`, which a greedy run keeps across all its columns
     so that each of their radii is evaluated once per run (a fresh table when
     None); the pairs with a boundary delta, whose radii rarely repeat across
-    columns, are deduplicated within the column.
+    columns, are deduplicated within the column.  `distances`, when given,
+    is kernels.distance(fset.points, f.point), which a caller that needs it
+    anyway can pass in instead of having it computed twice.
     """
     if table is None:
         table = BilaplacianTable(spec)
     elif table.spec != spec:
         raise ValueError(f"table holds values for {table.spec}, not {spec}")
-    t = scaled_distance(spec, fset.points, f.point)
+    t = (scaled_distance(spec, fset.points, f.point) if distances is None
+         else distances / spec.scale)
     dm = fset.domain_mask
     bm = ~dm
     out = np.empty(len(fset))

@@ -1,8 +1,8 @@
 """Unit-disk candidate geometry, evaluation grids and fill distances.
 
-scipy.spatial loads inside the two functions that use it, _diameter and
-fill_distance, which a greedy run calls; `solve` and `report` import this
-module without loading SciPy.
+scipy.spatial loads inside fill_distance once something is selected, which
+a greedy run never asks for; the empty-selection diameter finds the convex
+hull in numpy, so `build`, `solve` and `report` run without scipy.spatial.
 """
 
 from __future__ import annotations
@@ -56,22 +56,46 @@ def disk_candidates(target_domain_count: int, target_boundary_count: int) -> Dis
     return DiskGeometry(domain_points=domain, boundary_points=boundary, spacing=spacing)
 
 
-def _diameter(points: np.ndarray) -> float:
-    from scipy.spatial import ConvexHull, QhullError
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
+
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of 2-D points, by Andrew's monotone
+    chain; points inside an edge are not vertices, so a collinear set gives
+    its two ends."""
+    p = points[np.lexsort((points[:, 1], points[:, 0]))]
+    # of the points sharing an x, only the lowest and the highest can be
+    # vertices, which leaves a lattice's chain a few hundred points
+    new_x = p[1:, 0] != p[:-1, 0]
+    p = p[np.r_[True, new_x] | np.r_[new_x, True]]
+    pts = p.tolist()
+
+    def half(seq):
+        chain = []
+        for q in seq:
+            while len(chain) >= 2 and _cross(chain[-2], chain[-1], q) <= 0.0:
+                chain.pop()
+            chain.append(q)
+        return chain[:-1]
+
+    return np.array(half(pts) + half(pts[::-1]))
+
+
+def _diameter(points: np.ndarray) -> float:
+    if points.shape[-1] != 2:
+        raise ValueError(f"the diameter needs 2-D points, got shape {points.shape}")
     if len(points) < 2:
         return 0.0
-    try:
-        vs = points[ConvexHull(points).vertices]
-    except QhullError:  # degenerate (collinear) sets
-        vs = points
+    vs = _hull_vertices(points)
     diff = vs[:, None, :] - vs[None, :, :]
     return float(np.sqrt((diff**2).sum(-1)).max())
 
 
 def fill_distance(selected, reference) -> float:
     """max over reference of the distance to the nearest selected point;
-    falls back to the reference diameter when nothing is selected yet."""
+    falls back to the diameter of the (2-D) reference when nothing is
+    selected yet."""
     reference = np.atleast_2d(np.asarray(reference, dtype=float))
     selected = np.asarray(selected, dtype=float)
     if selected.size == 0:

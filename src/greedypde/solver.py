@@ -46,8 +46,9 @@ def evaluate_basis(state: GreedyState, fset: FunctionalSet | None = None,
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if state.n == 0:
         return BasisEvaluation(points=pts, values=np.zeros((0, len(pts))))
-    raw = np.array([riesz_row(fset.entries[i], pts, spec)
-                    for i in state.selected])
+    raw = np.empty((state.n, len(pts)))
+    for k, i in enumerate(state.selected):
+        raw[k] = riesz_row(fset.entries[i], pts, spec)
     return BasisEvaluation(points=pts, values=state.c_matrix() @ raw)
 
 

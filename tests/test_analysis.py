@@ -82,6 +82,45 @@ def test_condition_within_factor_three_of_exact(rng):
         assert est >= exact / 3.0
 
 
+def _hager_through_solve_triangular(tri, max_iter=5):
+    """Reference Hager iteration on scipy.linalg.solve_triangular."""
+    from scipy.linalg import solve_triangular
+
+    n = tri.shape[0]
+    x = np.full(n, 1.0 / n)
+    best = 0.0
+    for _ in range(max_iter):
+        y = solve_triangular(tri, x, lower=True)
+        best = max(best, float(np.abs(y).sum()))
+        xi = np.where(y >= 0.0, 1.0, -1.0)
+        z = solve_triangular(tri, xi, lower=True, trans="T")
+        j = int(np.argmax(np.abs(z)))
+        if abs(z[j]) <= float(z @ x):
+            break
+        x = np.zeros(n)
+        x[j] = 1.0
+    return best
+
+
+def test_condition_estimate_equals_solve_triangular_bits(rng, small_run):
+    mats = [small_run["state"].c_matrix()]
+    for n in (1, 2, 9, 60):
+        L = np.tril(rng.standard_normal((n, n)))
+        L[np.diag_indices(n)] = rng.uniform(0.05, 2.0, size=n) * rng.choice([-1.0, 1.0], n)
+        mats.append(L)
+    for L in mats:
+        norm1 = float(np.abs(L).sum(axis=0).max())
+        assert condition_estimate(L) == norm1 * _hager_through_solve_triangular(L)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_condition_rejects_non_finite(bad):
+    L = np.tril(np.ones((3, 3)))
+    L[2, 0] = bad
+    with pytest.raises(ValueError):
+        condition_estimate(L)
+
+
 def test_condition_singular_and_shape_errors():
     with pytest.raises(NumericalError):
         condition_estimate(np.diag([1.0, 0.0]))

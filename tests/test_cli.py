@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import zlib
 from dataclasses import fields
@@ -350,6 +351,53 @@ def test_stored_rows_solve_and_report_load_no_scipy(built, tmp_path):
                            env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == ""
+
+
+_BUILD_CHILD = """\
+import sys
+from greedypde.cli import main
+cfg, out = sys.argv[1:]
+assert main(["build", "--config", cfg, "--out", out]) == 0
+print(" ".join(m for m in sys.modules if m.startswith("scipy.spatial")))
+"""
+
+
+def test_build_loads_no_scipy_spatial(tmp_path):
+    src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("n_max = 40", "n_max = 5"))
+    child = subprocess.run([sys.executable, "-c", _BUILD_CHILD, cfg, str(tmp_path / "b")],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == ""
+
+
+def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
+    # a fine grid makes the N x P basis values dominate what a solve allocates
+    cfg = write_cfg(tmp_path, SMALL_CFG.replace("grid_spacing = 0.08", "grid_spacing = 0.02"))
+    stored = str(tmp_path / "stored")
+    assert main(["build", "--config", cfg, "--out", stored]) == 0
+    recomputed = str(tmp_path / "recomputed")
+    shutil.copytree(stored, recomputed)
+    os.remove(os.path.join(recomputed, "gridrows.npy"))
+    rows = np.load(os.path.join(stored, "gridrows.npy"))
+    basis_bytes = rows.nbytes
+    assert rows.shape[0] == 40 and basis_bytes > 2_000_000
+    del rows
+    for k, basis in enumerate((stored, recomputed)):
+        # the first solve loads whatever the traced one would load lazily
+        assert main(["solve", "--config", cfg, "--basis", basis,
+                     "--out", str(tmp_path / f"warm{k}")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", cfg, "--basis", basis,
+                         "--out", str(tmp_path / f"s{k}")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the raw rows and the values during C @ raw, or the values and their
+        # squares in power_on_deltas; the slack covers the CSVs and the grid
+        assert peak <= 2.5 * basis_bytes + 1_000_000, (basis, peak / basis_bytes)
 
 
 @pytest.mark.parametrize("override", ["grid_spacing = 0.1", "boundary_count = 24"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,18 @@ def test_run_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run(fset, SPEC, n_max=10)
     with pytest.raises(ValueError):
+        run(fset, SPEC, n_max=-1)
+    with pytest.raises(ValueError):
         run(fset, SPEC, mode="extended", n_max=1)  # needs a grid
+
+
+def test_zero_step_run_leaves_an_extendable_state():
+    # a run sized for n_max = 0 rows still grows when extended afterwards
+    fset = toy_three()
+    state, trace = run(fset, SPEC, n_max=0)
+    assert len(trace.steps) == 0
+    extend(state, select_standard(state))
+    assert state.n == 1
 
 
 def test_run_stops_early_on_large_tolerance():
@@ -303,3 +316,49 @@ def test_restore_state_round_trip(small_run):
     stub = restore_state(reindexed, state.c_matrix(), small_run["spec"])
     assert np.array_equal(stub.c_matrix(), state.c_matrix())
     assert stub.n == state.n
+
+
+def test_run_holds_only_the_contract_arrays():
+    # a run sizes its Newton columns, C and grid rows once for n_max, so its
+    # traced peak stays near (n_max + 2)|Lambda| + n_max P floats instead of
+    # holding old and doubled copies side by side
+    geometry = disk_candidates(1000, 60)
+    fset = disk_functional_set(geometry)
+    grid = evaluation_grid(geometry, 0.02)
+    n_max, lam, p = 40, len(fset), len(grid)
+    run(fset, SPEC, n_max=5, eval_grid=grid)  # load what the first run loads lazily
+    tracemalloc.start()
+    try:
+        run(fset, SPEC, n_max=n_max, eval_grid=grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    contract = 8 * ((n_max + 2) * lam + n_max * p)
+    # a step's temporaries: a few vectors over the set and the grid, the
+    # radius table and the per-step trace values
+    slack = 8 * 8 * (lam + p) + 2**19
+    assert peak <= contract + slack, (peak, contract)
+
+
+def test_run_computes_one_distance_vector_per_step(monkeypatch):
+    import greedypde.engine as engine
+    import greedypde.kernels as kernels
+
+    calls = []
+    real = kernels.distance
+
+    def counted(x, y):
+        if np.ndim(x) == 2:  # single-point calls are K(x, x) on the diagonal
+            calls.append(np.shape(x))
+        return real(x, y)
+
+    monkeypatch.setattr(kernels, "distance", counted)
+    monkeypatch.setattr(engine, "distance", counted)
+    fset = toy_disk(120, 16)
+    state, trace = run(fset, SPEC, n_max=12)
+    assert calls == [fset.points.shape] * 12
+    monkeypatch.undo()
+    again, again_trace = run(fset, SPEC, n_max=12)
+    assert again.selected == state.selected
+    assert np.array_equal(again_trace.h_domain, trace.h_domain)
+    assert np.array_equal(again_trace.h_boundary, trace.h_boundary)

@@ -27,7 +27,13 @@ from greedypde.functionals import (
     write_functionals,
 )
 from greedypde.geometry import disk_candidates
-from greedypde.kernels import KernelSpec, kernel_value, laplacian_y, radial_bilaplacian
+from greedypde.kernels import (
+    KernelSpec,
+    distance,
+    kernel_value,
+    laplacian_y,
+    radial_bilaplacian,
+)
 
 SPEC = KernelSpec(m=4, d=2)
 
@@ -104,6 +110,9 @@ def test_dual_inner_column_matches_scalar_path():
             expected = np.array([dual_inner(g, f, spec) for g in fset.entries])
             col = dual_inner_column(f, fset, spec)
             assert np.array_equal(col, expected), f.kind
+            given_distances = dual_inner_column(f, fset, spec,
+                                                distances=distance(fset.points, f.point))
+            assert np.array_equal(given_distances, expected), f.kind
 
 
 def test_shared_table_columns_match_scalar_path():

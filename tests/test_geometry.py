@@ -70,6 +70,52 @@ def test_fill_distance_monotone_under_growing_selection(rng):
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
+def _qhull_diameter(points):
+    """The diameter over scipy's convex hull vertices, or over all points
+    when Qhull rejects a degenerate set."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    if len(points) < 2:
+        return 0.0
+    try:
+        vs = points[ConvexHull(points).vertices]
+    except QhullError:
+        vs = points
+    diff = vs[:, None, :] - vs[None, :, :]
+    return float(np.sqrt((diff**2).sum(-1)).max())
+
+
+_coordinate = st.floats(-100.0, 100.0, allow_nan=False, allow_subnormal=False)
+_random_sets = st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=60)
+# lattice points i*h, clipped or not, as the candidate grids are built
+_lattice_sets = st.builds(
+    lambda ij, h: [(i * h, j * h) for i, j in ij],
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)), min_size=1, max_size=80),
+    st.floats(1e-3, 10.0),
+)
+# exactly collinear: integer base and direction, integer steps
+_collinear_sets = st.builds(
+    lambda base, step, ks: [(base[0] + k * step[0], base[1] + k * step[1]) for k in ks],
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=40),
+)
+
+
+@settings(max_examples=300)
+@given(st.one_of(_random_sets, _lattice_sets, _collinear_sets))
+def test_empty_selection_diameter_equals_qhull_bits(points):
+    points = np.array(points, dtype=float)
+    assert fill_distance([], points) == _qhull_diameter(points)
+
+
+def test_empty_selection_diameter_of_candidate_sets():
+    for target in (300, 2000, 17570):
+        geo = disk_candidates(target, 150)
+        for points in (geo.domain_points, geo.boundary_points):
+            assert fill_distance([], points) == _qhull_diameter(points)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=20, max_value=300))
 def test_equispaced_boundary_fill_distance_near_pi_over_n(n):
