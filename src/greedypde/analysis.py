@@ -8,6 +8,8 @@ without SciPy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NumericalError
@@ -38,15 +40,14 @@ def fit_rate(xs, ys, window: tuple[float, float] | None = None) -> float:
 def _hager_inverse_norm1(tri: np.ndarray, max_iter: int = 5) -> float:
     """Deterministic Hager estimate of ||C^{-1}||_1 via triangular solves.
 
-    tri is C-ordered.  The solves call LAPACK trtrs the way
-    scipy.linalg.solve_triangular does for such a matrix, on tri.T (Fortran
-    order) as an upper matrix with the transpose flag flipped, so the results
-    are its bits without its per-call validation.
+    tri is C-ordered and finite (condition_estimate checks).  The solves
+    call LAPACK trtrs the way scipy.linalg.solve_triangular does for such a
+    matrix, on tri.T (Fortran order) as an upper matrix with the transpose
+    flag flipped, so the results are its bits without its per-call
+    validation.
     """
     from scipy.linalg import get_lapack_funcs
 
-    if not np.isfinite(tri).all():
-        raise ValueError("array must not contain infs or NaNs")
     (trtrs,) = get_lapack_funcs(("trtrs",), (tri,))
     upper = tri.T
 
@@ -72,10 +73,16 @@ def _hager_inverse_norm1(tri: np.ndarray, max_iter: int = 5) -> float:
     return best
 
 
-def condition_estimate(tri) -> float:
+def condition_estimate(tri, norm1: float | None = None) -> float:
     """1-norm condition estimate ||C||_1 * est(||C^{-1}||_1) of a
     lower-triangular matrix; the inverse norm comes from Hager-style probe
-    iterations, never from an explicit inverse."""
+    iterations, never from an explicit inverse.
+
+    A caller that already holds ||C||_1 = max of the column sums of |C|
+    passes it as `norm1`.  A NaN or infinite entry makes its column sum, and
+    so that maximum, non-finite, so the check for such entries then looks
+    at norm1 alone instead of at every entry of tri.
+    """
     tri = np.ascontiguousarray(tri, dtype=float)
     if tri.ndim != 2 or tri.shape[0] != tri.shape[1]:
         raise ValueError("condition_estimate needs a square matrix")
@@ -84,7 +91,12 @@ def condition_estimate(tri) -> float:
         return 1.0
     if np.any(np.diag(tri) == 0.0):
         raise NumericalError("triangular matrix is singular (zero diagonal)")
-    norm1 = float(np.abs(tri).sum(axis=0).max())
+    if norm1 is None:
+        if not np.isfinite(tri).all():
+            raise ValueError("array must not contain infs or NaNs")
+        norm1 = float(np.abs(tri).sum(axis=0).max())
+    elif not math.isfinite(norm1):
+        raise ValueError("array must not contain infs or NaNs")
     return norm1 * _hager_inverse_norm1(tri)
 
 

@@ -5,16 +5,22 @@ coefficient matrix C expressing the orthonormal functionals in terms of the
 selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
-is (N+2)|Lambda| floats plus the C triangle; each step costs O(N |Lambda|)
-plus one kernel column over the set.  `run` allocates the Newton columns, C
-and the grid tracker's raw rows once for n_max rows and never copies them;
-np.zeros commits pages only as rows are written, so the rows a converged run
-never reaches cost no resident memory.  A state driven through init/extend
-directly grows its arrays by doubling.  The operator-delta half of a column is
-the bilaplacian at radii that recur from step to step, so the state keeps one
-table of them (functionals.BilaplacianTable) and each distinct radius is
-evaluated once per run, at the cost of one float pair of storage per
-distinct radius.
+is (N+2)|Lambda| floats plus C, an N x N buffer and the N column sums of |C|.
+A step costs one kernel column over the set, one N x |Lambda| matvec
+(O(N |Lambda|), a second one when the step reorthogonalizes) and O(N^2) for
+the C row and the trace's condition estimate: ||C||_1 comes from the column
+sums, which each step updates by its new row, and the Hager solves run on C
+copied into the buffer, which is reused from step to step.  With an
+evaluation grid a step adds one representer row over the P grid points and
+an O(N P) deflation of the grid powers.  `run` allocates the Newton columns,
+C, its buffer and the grid tracker's raw rows once for n_max rows and never
+copies them; np.zeros commits pages only as rows are written, so the rows a
+converged run never reaches cost no resident memory.  A state driven through
+init/extend directly grows its arrays by doubling.  The operator-delta half
+of a column is the bilaplacian at radii that recur from step to step, so the
+state keeps one table of them (functionals.BilaplacianTable) and each
+distinct radius is evaluated once per run, at the cost of one float pair of
+storage per distinct radius.
 
 The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
@@ -79,6 +85,11 @@ class GreedyState:
         self.dd_table = BilaplacianTable(spec)
         self._columns = np.zeros((rows, len(fset)))
         self._c = np.zeros((rows, rows))
+        # column sums of |C|, one row added per step, and the contiguous
+        # operand of the condition estimate's triangular solves, sized to
+        # C's capacity when first needed
+        self._c_abs_sums = np.zeros(rows)
+        self._c_block = np.zeros(0)
 
     @classmethod
     def from_coefficients(cls, fset: FunctionalSet, spec: KernelSpec,
@@ -88,6 +99,8 @@ class GreedyState:
         n = len(fset)
         state = cls(fset, spec, rows=n)
         state._c = np.tril(c_matrix)
+        for row in state._c:  # as extend adds them, with no N x N temporary
+            state._c_abs_sums += np.abs(row)
         state.selected = list(range(n))
         return state
 
@@ -105,6 +118,22 @@ class GreedyState:
         above the diagonal is never written, so it is zero)."""
         return self._c[: self.n, : self.n].copy()
 
+    def cond_c(self) -> float:
+        """analysis.condition_estimate of the coefficient matrix.
+
+        ||C||_1 comes from the running column sums of |C|, which equal
+        np.abs(C).sum(axis=0) bit for bit (numpy reduces axis 0 of a
+        C-ordered array by adding row after row), and the leading N x N block
+        is copied into a buffer that is reused from step to step, so a step
+        allocates no N x N array."""
+        n = self.n
+        if self._c_block.size < n * n:
+            self._c_block = np.zeros(len(self._c) ** 2)
+        block = self._c_block[: n * n].reshape(n, n)
+        block[...] = self._c[:n, :n]
+        norm1 = float(self._c_abs_sums[:n].max()) if n else 0.0
+        return analysis.condition_estimate(block, norm1)
+
     def sigma(self) -> float:
         """Current sup of the power function over the candidate set."""
         return math.sqrt(max(float(self.residual_power.max()), 0.0))
@@ -114,7 +143,8 @@ class GreedyState:
 
         A state sized for a run counts its n_max rows from the first step on,
         whether or not their pages are committed yet."""
-        return self._columns.size + self._c.size + self.diag.size + self.residual_power.size
+        return (self._columns.size + self._c.size + self._c_abs_sums.size
+                + self._c_block.size + self.diag.size + self.residual_power.size)
 
     def _reserve_row(self) -> None:
         """Make room for one more selected functional."""
@@ -123,6 +153,7 @@ class GreedyState:
             cap = max(2 * n, _INITIAL_CAPACITY)
             self._columns = _with_capacity(self._columns, cap, n)
             self._c = _with_capacity(self._c, cap, n, axes=2)
+            self._c_abs_sums = _with_capacity(self._c_abs_sums, cap, n)
 
 
 def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
@@ -216,6 +247,7 @@ def extend(state: GreedyState, chosen: int,
     w *= c
     state._columns[N] = w
     state._c[N, : N + 1] = c * brow
+    state._c_abs_sums[: N + 1] += np.abs(state._c[N, : N + 1])
     state.selected.append(int(chosen))
 
     res = state.residual_power - w**2
@@ -297,9 +329,10 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
 
     Stops at n_max or when the residual power drops to stop_tol * max(diag).
     `eval_grid` enables the rho column (recorded every rho_every steps and at
-    step n_max) and the final `grid_power`, and is required in extended mode,
-    where `y_indices` restricts the interior evaluation points considered for
-    selection (default: all of them).
+    the last step, whether that is step n_max or the step after which the
+    run converged) and the final `grid_power`, and is required in extended
+    mode, where `y_indices` restricts the interior evaluation points
+    considered for selection (default: all of them).
     """
     if mode not in ("standard", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -358,10 +391,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
             dmin_dom = d if dmin_dom is None else np.minimum(dmin_dom, d)
             h_dom = float(dmin_dom.max())
 
-        record_rho = tracker is not None and (
-            mode == "extended" or step % rho_every == 0 or step == n_max
-        )
-        if record_rho:
+        if tracker is not None and (mode == "extended" or step % rho_every == 0):
             tracker.sync(state)
             rows["rho"].append(tracker.rho())
         else:
@@ -371,12 +401,14 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         rows["kind"].append("B" if is_boundary else "D")
         rows["h_domain"].append(h_dom)
         rows["h_boundary"].append(h_bnd)
-        rows["cond_c"].append(analysis.condition_estimate(state.c_matrix()))
+        rows["cond_c"].append(state.cond_c())
         rows["bmax"].append(float(state.residual_power[bnd_idx].max()) if bnd_idx.size
                             else math.nan)
 
     if tracker is not None:
         tracker.sync(state)
+        if rows["rho"]:  # the last step that ran, however the loop ended
+            rows["rho"][-1] = tracker.rho()
 
     n_steps = len(rows["sigma"])
     trace = RunTrace(

@@ -190,10 +190,14 @@ def distance(x, y) -> np.ndarray:
     The squared coordinates are summed in order, which is how
     np.linalg.norm(x - y, axis=-1) sums them, so the bits are the same; a
     sum per coordinate avoids norm's reduction over rows of length d, which
-    costs several times more.
+    costs several times more, and subtracting one coordinate at a time
+    avoids forming the strided difference array.
     """
-    diff = np.moveaxis(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), -1, 0)
-    return np.sqrt(sum(c * c for c in diff))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError("points must have the same number of coordinates")
+    return np.sqrt(sum((x[..., i] - y[..., i]) ** 2 for i in range(x.shape[-1])))
 
 
 def scaled_distance(spec: KernelSpec, x, y) -> np.ndarray:

@@ -119,6 +119,9 @@ def test_condition_rejects_non_finite(bad):
     L[2, 0] = bad
     with pytest.raises(ValueError):
         condition_estimate(L)
+    # a known 1-norm carries the bad entry through its column sum
+    with pytest.raises(ValueError):
+        condition_estimate(L, float(np.abs(L).sum(axis=0).max()))
 
 
 def test_condition_singular_and_shape_errors():

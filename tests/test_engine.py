@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from greedypde.analysis import condition_estimate
 from greedypde.engine import (
+    GreedyState,
     extend,
     init,
     restore_state,
@@ -199,6 +201,33 @@ def test_run_determinism():
     assert np.array_equal(t1.cond_c, t2.cond_c)
 
 
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("m", [4, 6])
+def test_cond_c_column_equals_condition_estimate_of_each_block(m, mode):
+    geometry = disk_candidates(120, 16)
+    fset = disk_functional_set(geometry)
+    grid = evaluation_grid(geometry, 0.1)
+    state, trace = run(fset, KernelSpec(m=m, d=2), mode=mode, n_max=30,
+                       eval_grid=grid)
+    C = state.c_matrix()
+    assert len(trace.cond_c) == state.n == 30
+    for k, cond in enumerate(trace.cond_c, start=1):
+        assert cond == condition_estimate(C[:k, :k]), k
+
+
+def test_cond_c_past_the_initial_capacity():
+    # init/extend doubles C from 16 rows, which must carry the column sums
+    # of |C| and regrow the buffer the estimate solves in
+    state = init(toy_disk(120, 16), SPEC)
+    for _ in range(40):
+        extend(state, select_standard(state))
+        assert state.cond_c() == condition_estimate(state.c_matrix()), state.n
+    rng = np.random.default_rng(3)
+    L = np.tril(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
+    restored = restore_state(toy_three(), L, SPEC)
+    assert restored.cond_c() == condition_estimate(L)
+
+
 def test_run_rejects_bad_arguments():
     fset = toy_three()
     with pytest.raises(ValueError):
@@ -245,9 +274,10 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
     state, trace = run(fset, SPEC, n_max=len(fset), stop_tol=1e-2,
                        eval_grid=grid, rho_every=7)
     # stopped on Converged between two rho steps, so only the final sync
-    # brings the last rows into the grid power
+    # brings the last rows into the grid power, and rho is recorded there
     assert state.n < len(fset)
-    assert not np.isfinite(trace.rho[-1])
+    assert trace.steps[-1] % 7 != 0
+    assert trace.rho[-1] == np.sqrt(trace.grid_power.max())
     basis = evaluate_basis(state, points=grid.points)
     oracle = power_on_deltas(state, basis)
     assert np.abs(trace.grid_power - oracle).max() <= 1e-12
@@ -338,6 +368,23 @@ def test_run_holds_only_the_contract_arrays():
     # radius table and the per-step trace values
     slack = 8 * 8 * (lam + p) + 2**19
     assert peak <= contract + slack, (peak, contract)
+
+
+def test_run_copies_no_coefficient_matrix_per_step(monkeypatch):
+    # the condition estimate reads the running column sums and the reused
+    # buffer, not a fresh copy of C
+    calls = []
+    real = GreedyState.c_matrix
+
+    def counted(self):
+        calls.append(self.n)
+        return real(self)
+
+    monkeypatch.setattr(GreedyState, "c_matrix", counted)
+    geometry = disk_candidates(120, 16)
+    run(disk_functional_set(geometry), SPEC, n_max=12,
+        eval_grid=evaluation_grid(geometry, 0.1))
+    assert calls == []
 
 
 def test_run_computes_one_distance_vector_per_step(monkeypatch):

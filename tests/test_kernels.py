@@ -197,10 +197,14 @@ def test_scaled_distance_equals_norm_exactly(rng, d):
     spec = KernelSpec(m=5, d=d, scale=0.7)
     x = rng.uniform(-1, 1, size=(40, d))
     y = rng.uniform(-1, 1, size=(40, d))
-    for a, b in ((x, y), (x, y[3]), (x[5], y[7]), (x[:, None, :], y[None, :, :])):
+    pairs = ((x, y), (x, y[3]), (y[3], x), (x[5], y[7]),
+             (x[:, None, :], y[None, :, :]), (x[:, None, :], x[None, :, :]))
+    for a, b in pairs:
         norm = np.linalg.norm(a - b, axis=-1)
         assert np.array_equal(distance(a, b), norm)
         assert np.array_equal(scaled_distance(spec, a, b), norm / spec.scale)
+    with pytest.raises(ValueError):
+        distance(x, y[:, 1:])
 
 
 @pytest.mark.parametrize("m", [4, 6])
