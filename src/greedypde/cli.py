@@ -58,15 +58,21 @@ def _fresh_outdir(out_dir: str) -> str:
         raise ConfigError(f"output directory {out_dir!r} already exists; remove it first")
     tmp = f"{out_dir}.partial-{os.getpid()}"
     shutil.rmtree(tmp, ignore_errors=True)
-    os.makedirs(tmp)
+    try:
+        os.makedirs(tmp)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir!r} cannot be created: "
+                          f"{exc.strerror or exc}") from exc
     return tmp
 
 
 def _read_artifact(reader, path: str, *args):
-    """reader(path, *args), with a malformed file reported as a ConfigError
-    that names it."""
+    """reader(path, *args), with a file that cannot be read or is malformed
+    reported as a ConfigError that names it."""
     try:
         return reader(path, *args)
+    except OSError as exc:  # the file the system names may be one of args
+        raise ConfigError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -174,7 +180,7 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
     try:
         runio.write_trace_csv(os.path.join(tmp, "trace.csv"), trace)
         write_functionals(os.path.join(tmp, "selected.txt"),
-                          [fset.entries[i] for i in state.selected])
+                          [fset[i] for i in state.selected])
         runio.write_matrix_csv(os.path.join(tmp, "cmatrix.csv"), state.c_matrix())
         runio.write_table_csv(
             os.path.join(tmp, "powergrid.csv"),
@@ -280,7 +286,7 @@ def cmd_report(cfg: RunConfig, out_dir: str) -> None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = _read_artifact(load_config, args.config)
         if args.workers is not None:
             cfg.workers = args.workers
             cfg.validate()

@@ -5,7 +5,9 @@ coefficient matrix C expressing the orthonormal functionals in terms of the
 selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
-is (N+2)|Lambda| floats plus C, an N x N buffer and the N column sums of |C|.
+is (N+2)|Lambda| floats plus C, an N x N buffer and the N column sums of |C|;
+the candidate set itself is d + 1 floats and a flag per candidate
+(FunctionalSet's packed arrays), with no Python object per candidate.
 A step costs one kernel column over the set, one N x |Lambda| matvec
 (O(N |Lambda|), a second one when the step reorthogonalizes) and O(N^2) for
 the C row and the trace's condition estimate: ||C||_1 comes from the column
@@ -223,7 +225,7 @@ def extend(state: GreedyState, chosen: int,
     cols = state._columns[:N]
     ctri = state._c[:N, :N]
 
-    w = dual_inner_column(state.fset.entries[chosen], state.fset, state.spec,
+    w = dual_inner_column(state.fset[chosen], state.fset, state.spec,
                           state.dd_table, distances)
     proj = cols[:, chosen].copy()
     if N:
@@ -380,7 +382,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         dist = distance(fset.points, fset.points[chosen])
         extend(state, chosen, dist)
         if tracker is not None:
-            tracker.append_selected(fset.entries[chosen])
+            tracker.append_selected(fset[chosen])
 
         if is_boundary:
             d = dist[bnd_mask]

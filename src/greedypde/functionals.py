@@ -9,12 +9,18 @@ Laplacian or the double Laplacian depending on the kind pair.
 
 Functionals optionally carry a weight multiplier (default 1) that scales the
 functional and its Riesz representer alike.
+
+A candidate set (FunctionalSet) is stored as three packed arrays, the points,
+the operator-delta mask and the weights, which are all the column, power and
+selection code reads; a Functional object is built from them only when a
+caller asks for one entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,53 +59,87 @@ def domain_op_delta(point, index: int, weight: float = 1.0) -> Functional:
     return Functional(DOMAIN_OP_DELTA, tuple(float(c) for c in point), index, weight)
 
 
-@dataclass
-class FunctionalSet:
-    """A finite, fixed candidate set with packed coordinate arrays.
+class FunctionalSet(Sequence):
+    """A finite, fixed candidate set, held as packed arrays.
 
-    Entries must be indexed contiguously from 0 in list order.
+    `points` (n, d), `domain_mask` (n, True for an operator delta) and
+    `weights` (n) are the whole state, and are read-only.  Indexing builds
+    the Functional of one entry, with its position as its index; a slice
+    gives a list of them.  FunctionalSet(entries) packs a list of
+    functionals, which must be indexed contiguously from 0 in list order;
+    `from_arrays` takes the arrays directly.
     """
 
-    entries: list[Functional]
-    points: np.ndarray = field(init=False, repr=False)
-    domain_mask: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if not self.entries:
-            raise ValueError("functional set must be nonempty")
-        for i, f in enumerate(self.entries):
+    def __init__(self, entries: Sequence[Functional]):
+        for i, f in enumerate(entries):
             if f.index != i:
                 raise ValueError(f"entry {i} carries index {f.index}; must be contiguous")
-        self.points = np.array([f.point for f in self.entries], dtype=float)
-        self.domain_mask = np.array(
-            [f.kind == DOMAIN_OP_DELTA for f in self.entries], dtype=bool
-        )
-        self.weights = np.array([f.weight for f in self.entries], dtype=float)
+        self._pack(np.array([f.point for f in entries], dtype=float),
+                   np.array([f.kind == DOMAIN_OP_DELTA for f in entries], dtype=bool),
+                   np.array([f.weight for f in entries], dtype=float))
+
+    @classmethod
+    def from_arrays(cls, points, domain_mask, weights) -> FunctionalSet:
+        """The set whose entry i has point points[i], is an operator delta
+        where domain_mask[i] holds and carries weight weights[i]."""
+        fset = cls.__new__(cls)
+        fset._pack(np.array(points, dtype=float), np.array(domain_mask, dtype=bool),
+                   np.array(weights, dtype=float))
+        return fset
+
+    def _pack(self, points: np.ndarray, domain_mask: np.ndarray,
+              weights: np.ndarray) -> None:
+        n = len(points)
+        if n == 0:
+            raise ValueError("functional set must be nonempty")
+        if points.ndim != 2 or domain_mask.shape != (n,) or weights.shape != (n,):
+            raise ValueError(f"points {points.shape}, domain_mask {domain_mask.shape} "
+                             f"and weights {weights.shape} do not describe one set")
+        self.points = points
+        self.domain_mask = domain_mask
+        self.weights = weights
+        # the extended rule reads this every step
+        self.boundary_indices = np.flatnonzero(~domain_mask)
+        for a in (points, domain_mask, weights, self.boundary_indices):
+            a.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.points)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"functional index {i} is outside a set of {n}")
+        i %= n
+        kind = DOMAIN_OP_DELTA if self.domain_mask[i] else BOUNDARY_DELTA
+        return Functional(kind, tuple(self.points[i].tolist()), i, float(self.weights[i]))
+
+    @property
+    def entries(self) -> FunctionalSet:
+        """The functionals in set order: the set itself, as a sequence whose
+        entries are built on demand."""
+        return self
 
     @property
     def counts(self) -> tuple[int, int]:
         """(number of operator deltas, number of boundary deltas)."""
-        nd = int(self.domain_mask.sum())
-        return nd, len(self.entries) - nd
-
-    @property
-    def boundary_indices(self) -> np.ndarray:
-        return np.nonzero(~self.domain_mask)[0]
+        nb = len(self.boundary_indices)
+        return len(self) - nb, nb
 
 
 def disk_functional_set(geometry, domain_weight=1.0, boundary_weight=1.0) -> FunctionalSet:
     """Operator deltas on all domain candidates, then boundary deltas on the
     boundary candidates, indexed contiguously in that order."""
-    entries = []
-    for p in geometry.domain_points:
-        entries.append(domain_op_delta(p, len(entries), domain_weight))
-    for p in geometry.boundary_points:
-        entries.append(boundary_delta(p, len(entries), boundary_weight))
-    return FunctionalSet(entries)
+    nd, nb = len(geometry.domain_points), len(geometry.boundary_points)
+    return FunctionalSet.from_arrays(
+        np.concatenate([geometry.domain_points, geometry.boundary_points]),
+        np.arange(nd + nb) < nd,
+        np.concatenate([np.full(nd, float(domain_weight)),
+                        np.full(nb, float(boundary_weight))]),
+    )
 
 
 def dual_inner(a: Functional, b: Functional, spec: KernelSpec) -> float:

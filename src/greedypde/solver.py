@@ -48,7 +48,7 @@ def evaluate_basis(state: GreedyState, fset: FunctionalSet | None = None,
         return BasisEvaluation(points=pts, values=np.zeros((0, len(pts))))
     raw = np.empty((state.n, len(pts)))
     for k, i in enumerate(state.selected):
-        raw[k] = riesz_row(fset.entries[i], pts, spec)
+        raw[k] = riesz_row(fset[i], pts, spec)
     return BasisEvaluation(points=pts, values=state.c_matrix() @ raw)
 
 
@@ -96,7 +96,7 @@ def direct_collocation_solve(fset: FunctionalSet, selected, data,
     from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
     selected = list(selected)
-    entries = [fset.entries[i] for i in selected]
+    entries = [fset[i] for i in selected]
     A = gram(entries, spec)
     data = np.asarray(data, dtype=float)
     try:

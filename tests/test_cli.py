@@ -190,6 +190,29 @@ def test_build_exit_code_on_bad_config(tmp_path):
                  "--out", str(tmp_path / "y")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["non-utf8", "directory"])
+def test_unreadable_config_exits_2_naming_path(tmp_path, capsys, kind):
+    if kind == "directory":
+        cfg = tmp_path / "cfg.d"
+        cfg.mkdir()
+    else:
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"m = 4\n# r\xe9sum\xe9\n")
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert str(cfg) in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_output_directory_under_a_file_exits_2_naming_it(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = os.path.join(cfg, "sub")
+    capsys.readouterr()
+    assert main(["build", "--config", cfg, "--out", out]) == 2
+    assert out in capsys.readouterr().err
+    assert os.path.isfile(cfg)
+
+
 def test_build_validates_workers_flag(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "w"
@@ -461,11 +484,20 @@ def _run_on_basis(built, command, basis, out):
     return main(["report", "--config", built["cfg"], "--out", basis])
 
 
+# in place of a corrupt function: the artifact is replaced by a directory,
+# which no read can open (unlike permission bits, which root ignores)
+_AS_DIRECTORY = None
+
+
 def _corrupted_basis(built, tmp_path_factory, name, corrupt, binary=False):
     """A copy of the built basis with one artifact passed through corrupt."""
     basis = str(tmp_path_factory.mktemp("basis") / "basis")
     shutil.copytree(built["out"], basis)
     path = os.path.join(basis, name)
+    if corrupt is _AS_DIRECTORY:
+        os.remove(path)
+        os.mkdir(path)
+        return basis
     mode = "b" if binary else ""
     with open(path, "r" + mode) as fh:
         content = fh.read()
@@ -508,6 +540,12 @@ def _reseal_grid_rows(basis):
     ("solve", "powergrid.csv", lambda t: t.splitlines(True)[0]),
     ("solve", "gridrows.crc32", lambda t: f"{int(t) ^ 1}\n"),
     ("solve", "gridrows.crc32", lambda t: "abc\n"),
+    ("solve", "cmatrix.csv", _AS_DIRECTORY),
+    ("solve", "selected.txt", _AS_DIRECTORY),
+    ("solve", "gridrows.npy", _AS_DIRECTORY),
+    ("solve", "gridrows.crc32", _AS_DIRECTORY),
+    ("solve", "kernel.txt", _AS_DIRECTORY),
+    ("report", "trace.csv", _AS_DIRECTORY),
 ], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
         "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
         "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
@@ -515,12 +553,14 @@ def _reseal_grid_rows(basis):
         "trace-bad-header", "trace-short-row", "trace-no-rows",
         "selected-nan-coordinate", "gridrows-truncated", "gridrows-row-count",
         "gridrows-nan", "gridrows-pickled", "gridrows-header-length", "cmatrix-empty",
-        "powergrid-no-rows", "gridrows-wrong-checksum", "gridrows-non-numeric-checksum"])
+        "powergrid-no-rows", "gridrows-wrong-checksum", "gridrows-non-numeric-checksum",
+        "cmatrix-directory", "selected-directory", "gridrows-directory",
+        "checksum-directory", "kernel-directory", "trace-directory"])
 def test_malformed_artifact_exits_2_naming_file(built, tmp_path_factory, capsys,
                                                 command, name, corrupt):
     basis = _corrupted_basis(built, tmp_path_factory, name, corrupt,
                              binary=name.endswith(".npy"))
-    if name == "gridrows.npy":
+    if name == "gridrows.npy" and corrupt is not _AS_DIRECTORY:
         _reseal_grid_rows(basis)
     capsys.readouterr()
     # pytest intercepts warnings before they reach stderr, so record them

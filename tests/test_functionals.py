@@ -10,6 +10,7 @@ import greedypde.functionals as functionals
 from greedypde.engine import run
 from greedypde.functionals import (
     BilaplacianTable,
+    Functional,
     FunctionalSet,
     GaussianBump,
     PowerCusp,
@@ -213,6 +214,43 @@ def test_disk_set_counts_and_invariants():
 def test_functional_set_rejects_bad_indices():
     with pytest.raises(ValueError):
         FunctionalSet([boundary_delta((1.0, 0.0), 3)])
+
+
+def test_disk_functional_set_constructs_no_functional(monkeypatch):
+    built = []
+    check = Functional.__post_init__
+
+    def counting(self):
+        built.append(self.index)
+        check(self)
+
+    monkeypatch.setattr(Functional, "__post_init__", counting)
+    fset = disk_functional_set(disk_candidates(300, 40))
+    assert built == []
+    fset[7]
+    assert built == [7]  # one entry, built on demand
+
+
+@pytest.mark.parametrize("n_domain, n_boundary", [(2000, 120), (17570, 150)])
+def test_array_set_equals_list_built_set(n_domain, n_boundary):
+    geometry = disk_candidates(n_domain, n_boundary)
+    fset = disk_functional_set(geometry, domain_weight=0.7, boundary_weight=1.3)
+    nd = len(geometry.domain_points)
+    listed = [domain_op_delta(p, i, 0.7) for i, p in enumerate(geometry.domain_points)]
+    listed += [boundary_delta(p, nd + i, 1.3)
+               for i, p in enumerate(geometry.boundary_points)]
+    ref = FunctionalSet(listed)
+    for name in ("points", "domain_mask", "weights", "boundary_indices"):
+        got, want = getattr(fset, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), name
+    assert fset.counts == ref.counts == (nd, n_boundary)
+    for i in (0, nd - 1, nd, -1):
+        assert fset[i] == fset.entries[i] == listed[i]
+    assert fset[nd - 2: nd + 2] == fset.entries[nd - 2: nd + 2] == listed[nd - 2: nd + 2]
+    for bad in (len(fset), -len(fset) - 1):
+        with pytest.raises(IndexError):
+            fset[bad]
 
 
 def test_functional_rejects_unknown_kind():
