@@ -9,6 +9,7 @@ codes: 0 success, 2 usage/config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import shutil
@@ -53,7 +54,11 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
-def _fresh_outdir(out_dir: str) -> str:
+@contextlib.contextmanager
+def _output_dir(out_dir: str):
+    """Yield a fresh `<out_dir>.partial-<pid>` directory, created before the
+    block runs so that an unusable out_dir fails at once; it becomes out_dir
+    when the block completes and is removed when the block raises."""
     if os.path.exists(out_dir):
         raise ConfigError(f"output directory {out_dir!r} already exists; remove it first")
     tmp = f"{out_dir}.partial-{os.getpid()}"
@@ -63,7 +68,12 @@ def _fresh_outdir(out_dir: str) -> str:
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir!r} cannot be created: "
                           f"{exc.strerror or exc}") from exc
-    return tmp
+    try:
+        yield tmp
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    os.replace(tmp, out_dir)
 
 
 def _read_artifact(reader, path: str, *args):
@@ -113,7 +123,7 @@ def basis_on_grid(basis_dir: str, state: GreedyState,
                                   f"the {state.n} functionals of selected.txt on "
                                   f"{len(points)} grid points")
             return solver.BasisEvaluation(points=points, values=state.c_matrix() @ raw)
-    return solver.evaluate_basis(state, points=points)
+    return solver.evaluate_basis(state, points)
 
 
 def _problem(cfg: RunConfig):
@@ -162,22 +172,21 @@ def _write_analysis(out: str, trace) -> None:
 
 
 def cmd_build(cfg: RunConfig, out_dir: str) -> None:
-    geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
-    fset = disk_functional_set(geometry)
-    if cfg.n_max > len(fset):
-        raise ConfigError(f"n_max: {cfg.n_max} exceeds the {len(fset)} candidates")
-    spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
-    grid = evaluation_grid(geometry, cfg.grid_spacing)
-    y_size = min(cfg.y_size, grid.n_interior)
-    y_indices = np.unique(np.linspace(0, grid.n_interior - 1, y_size).astype(int))
+    with _output_dir(out_dir) as tmp:
+        geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
+        fset = disk_functional_set(geometry)
+        if cfg.n_max > len(fset):
+            raise ConfigError(f"n_max: {cfg.n_max} exceeds the {len(fset)} candidates")
+        spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
+        grid = evaluation_grid(geometry, cfg.grid_spacing)
+        y_size = min(cfg.y_size, grid.n_interior)
+        y_indices = np.unique(np.linspace(0, grid.n_interior - 1, y_size).astype(int))
 
-    state, trace = run(
-        fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
-        eval_grid=grid, rho_every=cfg.rho_every, y_indices=y_indices,
-    )
+        state, trace = run(
+            fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
+            eval_grid=grid, y_indices=y_indices,
+        )
 
-    tmp = _fresh_outdir(out_dir)
-    try:
         runio.write_trace_csv(os.path.join(tmp, "trace.csv"), trace)
         write_functionals(os.path.join(tmp, "selected.txt"),
                           [fset[i] for i in state.selected])
@@ -194,63 +203,58 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         with open(os.path.join(tmp, "config.txt"), "w") as fh:
             fh.write(dump_config(cfg))
         _write_analysis(tmp, trace)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    os.replace(tmp, out_dir)
 
 
 def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
-    kernel_path = os.path.join(basis_dir, "kernel.txt")
-    if not os.path.exists(kernel_path):
-        raise ConfigError(f"basis: {basis_dir!r} does not look like a build output")
-    params = _read_artifact(runio.read_params, kernel_path)
-    ours = {"m": cfg.m, "d": cfg.d, "scale": cfg.scale}
-    if any(params.get(k) != v for k, v in ours.items()):
-        raise ConfigError(
-            f"{kernel_path}: kernel parameters {params} do not match the config {ours}"
-        )
-    spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
-    selected_path = os.path.join(basis_dir, "selected.txt")
-    fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)), selected_path)
-    if fset.points.shape[1] != spec.d:
-        raise ConfigError(f"{selected_path}: points have {fset.points.shape[1]} "
-                          f"coordinates, the kernel needs d = {spec.d}")
-    if not np.isfinite(fset.points).all():
-        raise ConfigError(f"{selected_path}: a point has a non-finite coordinate")
-    cmat_path = os.path.join(basis_dir, "cmatrix.csv")
-    cmat = _read_artifact(_read_c_matrix, cmat_path)
-    if cmat.shape != (len(fset), len(fset)):
-        raise ConfigError(f"{cmat_path}: shape {cmat.shape} does not match the "
-                          f"{len(fset)} functionals of selected.txt")
-    state = restore_state(fset, cmat, spec)
-    problem = _problem(cfg)
+    with _output_dir(out_dir) as tmp:
+        kernel_path = os.path.join(basis_dir, "kernel.txt")
+        if not os.path.exists(kernel_path):
+            raise ConfigError(f"basis: {basis_dir!r} does not look like a build output")
+        params = _read_artifact(runio.read_params, kernel_path)
+        ours = {"m": cfg.m, "d": cfg.d, "scale": cfg.scale}
+        if any(params.get(k) != v for k, v in ours.items()):
+            raise ConfigError(
+                f"{kernel_path}: kernel parameters {params} do not match the config {ours}"
+            )
+        spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
+        selected_path = os.path.join(basis_dir, "selected.txt")
+        fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)), selected_path)
+        if fset.points.shape[1] != spec.d:
+            raise ConfigError(f"{selected_path}: points have {fset.points.shape[1]} "
+                              f"coordinates, the kernel needs d = {spec.d}")
+        if not np.isfinite(fset.points).all():
+            raise ConfigError(f"{selected_path}: a point has a non-finite coordinate")
+        cmat_path = os.path.join(basis_dir, "cmatrix.csv")
+        cmat = _read_artifact(_read_c_matrix, cmat_path)
+        if cmat.shape != (len(fset), len(fset)):
+            raise ConfigError(f"{cmat_path}: shape {cmat.shape} does not match the "
+                              f"{len(fset)} functionals of selected.txt")
+        state = restore_state(fset, cmat, spec)
+        problem = _problem(cfg)
 
-    geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
-    grid = evaluation_grid(geometry, cfg.grid_spacing)
-    data = data_vector(state.fset, range(state.n), problem)
-    mu = solver.data_to_newton(state, data)
-    basis = basis_on_grid(basis_dir, state, grid.points)
-    p_delta = np.sqrt(solver.power_on_deltas(state, basis, spec))
-    u_true = problem.value(grid.points)
+        geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
+        grid = evaluation_grid(geometry, cfg.grid_spacing)
+        data = data_vector(state.fset, range(state.n), problem)
+        mu = solver.data_to_newton(state, data)
+        basis = basis_on_grid(basis_dir, state, grid.points)
+        p_delta = np.sqrt(solver.power_on_deltas(state, basis))
+        u_true = problem.value(grid.points)
 
-    # The basis values become the partial sums and then their errors in
-    # place, so no N x P array is held beside them.
-    partial = basis.values
-    partial *= mu[:, None]
-    np.cumsum(partial, axis=0, out=partial)
-    u_approx = partial[-1].copy()
-    np.subtract(u_true, partial, out=partial)
-    errors = np.abs(partial, out=partial).max(axis=1)
-    if not errors[0] > 0.0:
-        raise ConfigError(
-            f"problem: the error at N=1 is {errors[0]!r} on the evaluation grid, "
-            "so errors.csv has nothing to normalize by")
-    normalized = errors / errors[0]
-    steps = np.arange(1, state.n + 1)
+        # The basis values become the partial sums and then their errors in
+        # place, so no N x P array is held beside them.
+        partial = basis.values
+        partial *= mu[:, None]
+        np.cumsum(partial, axis=0, out=partial)
+        u_approx = partial[-1].copy()
+        np.subtract(u_true, partial, out=partial)
+        errors = np.abs(partial, out=partial).max(axis=1)
+        if not errors[0] > 0.0:
+            raise ConfigError(
+                f"problem: the error at N=1 is {errors[0]!r} on the evaluation grid, "
+                "so errors.csv has nothing to normalize by")
+        normalized = errors / errors[0]
+        steps = np.arange(1, state.n + 1)
 
-    tmp = _fresh_outdir(out_dir)
-    try:
         runio.write_table_csv(
             os.path.join(tmp, "errors.csv"),
             ["N", "max_abs_error", "normalized_error"],
@@ -269,10 +273,6 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
         )
         with open(os.path.join(tmp, "config.txt"), "w") as fh:
             fh.write(dump_config(cfg))
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    os.replace(tmp, out_dir)
 
 
 def cmd_report(cfg: RunConfig, out_dir: str) -> None:

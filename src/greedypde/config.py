@@ -31,7 +31,6 @@ class RunConfig:
     mode: str = "standard"
     grid_spacing: float = 0.025
     y_size: int = 1000
-    rho_every: int = 1
     workers: int = 0  # accepted for compatibility; has no effect
     out_dir: str = "greedy_run"
     problem: str = "gaussian"
@@ -65,8 +64,6 @@ class RunConfig:
             raise ConfigError("grid_spacing: must be positive")
         if self.y_size < 1:
             raise ConfigError("y_size: must be >= 1")
-        if self.rho_every < 1:
-            raise ConfigError("rho_every: must be >= 1")
         if self.workers < 0:
             raise ConfigError("workers: must be >= 0")
         if self.problem not in PROBLEMS:

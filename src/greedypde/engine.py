@@ -27,9 +27,13 @@ storage per distinct radius.
 The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
 over an evaluation point set peaks on the boundary.  Given an evaluation
-grid, the loop also deflates the delta power P^2(delta_x) over the grid one
-basis row at a time and hands the final values, and the raw representer rows
-it deflated with, back in the trace.
+grid, a tracker deflates the delta power P^2(delta_x) over the grid one basis
+row at a time and records rho, the sup of the remaining delta power, after
+each row; that record is the trace's rho column.  Row k needs only the C row
+of step k and the representer rows of steps <= k, so the loop deflates only
+where a result needs the grid (before each extended selection and once after
+the loop) with the same bits as deflating at every step, and hands the final
+grid powers and the raw representer rows back in the trace.
 """
 
 from __future__ import annotations
@@ -93,19 +97,6 @@ class GreedyState:
         self._c_abs_sums = np.zeros(rows)
         self._c_block = np.zeros(0)
 
-    @classmethod
-    def from_coefficients(cls, fset: FunctionalSet, spec: KernelSpec,
-                          c_matrix: np.ndarray) -> GreedyState:
-        """State whose selection is the whole set, in order, with the given
-        N x N coefficient matrix (only its lower triangle is kept)."""
-        n = len(fset)
-        state = cls(fset, spec, rows=n)
-        state._c = np.tril(c_matrix)
-        for row in state._c:  # as extend adds them, with no N x N temporary
-            state._c_abs_sums += np.abs(row)
-        state.selected = list(range(n))
-        return state
-
     @property
     def n(self) -> int:
         return len(self.selected)
@@ -165,14 +156,19 @@ def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
 
 def restore_state(fset: FunctionalSet, c_matrix, spec: KernelSpec) -> GreedyState:
     """State of a stored basis: the whole set is the selection, in order,
-    with the given N x N coefficient matrix.
+    with the given N x N coefficient matrix (only its lower triangle is kept).
 
     Newton columns and residual powers are not reconstructed, so the state
     serves the solver (basis evaluation, data transforms) and takes no
     further greedy steps.  The caller checks that C matches the set.
     """
-    return GreedyState.from_coefficients(
-        fset, spec, np.atleast_2d(np.asarray(c_matrix, dtype=float)))
+    n = len(fset)
+    state = GreedyState(fset, spec, rows=n)
+    state._c = np.tril(np.atleast_2d(np.asarray(c_matrix, dtype=float)))
+    for row in state._c:  # as extend adds them, with no N x N temporary
+        state._c_abs_sums += np.abs(row)
+    state.selected = list(range(n))
+    return state
 
 
 def _threshold(state: GreedyState, stop_tol: float) -> float:
@@ -190,8 +186,7 @@ def select_standard(state: GreedyState, stop_tol: float = 0.0) -> int:
     return i
 
 
-def select_extended(state: GreedyState, delta_power_max: float,
-                    delta_power_argmax_is_boundary: bool,
+def select_extended(state: GreedyState, delta_power_argmax_is_boundary: bool,
                     stop_tol: float = 0.0) -> int:
     """Prefer the strongest boundary delta when the delta power over the
     evaluation set peaks on the boundary; otherwise fall back to the
@@ -264,7 +259,8 @@ def extend(state: GreedyState, chosen: int,
 class RunTrace:
     """Per-step record of the run; arrays are aligned with `steps`.
 
-    `rho` is NaN at steps where the evaluation grid was not synced.
+    `rho` is the sup of the delta power over the evaluation grid after each
+    step, and NaN at every step of a run without a grid.
     `boundary_power_max` (max residual power over the boundary deltas),
     `grid_power` (final P^2(delta_x) per evaluation-grid point) and
     `grid_rows` (the raw representer rows of the selected functionals on the
@@ -292,7 +288,8 @@ class _GridTracker:
 
     Rows are brought up to date lazily: row k only needs the C row of step k
     and the raw representer rows of steps <= k, so deferred syncing produces
-    bit-identical values.
+    bit-identical values.  `rho[k]` is sqrt(max residual) after row k was
+    deflated.
     """
 
     def __init__(self, grid: EvalGrid, spec: KernelSpec, rows: int):
@@ -302,22 +299,19 @@ class _GridTracker:
         self.residual = np.full(p, kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d)))
         self._raw = np.zeros((rows, p))
         self.n_raw = 0
-        self.n_done = 0
+        self.rho: list[float] = []
 
     def append_selected(self, f) -> None:
         self._raw[self.n_raw] = riesz_row(f, self.points, self.spec)
         self.n_raw += 1
 
     def sync(self, state: GreedyState) -> None:
-        """Deflate the grid residual by the pending basis rows."""
-        upto = min(state.n, self.n_raw)
-        for k in range(self.n_done, upto):
+        """Deflate the grid residual by the pending basis rows, recording rho
+        after each."""
+        for k in range(len(self.rho), min(state.n, self.n_raw)):
             row = state._c[k, : k + 1] @ self._raw[: k + 1]
             np.maximum(self.residual - row**2, 0.0, out=self.residual)
-        self.n_done = max(self.n_done, upto)
-
-    def rho(self) -> float:
-        return math.sqrt(float(self.residual.max()))
+            self.rho.append(math.sqrt(float(self.residual.max())))
 
     def interior_max(self, y_indices: np.ndarray) -> float:
         return float(self.residual[y_indices].max())
@@ -325,21 +319,18 @@ class _GridTracker:
 
 def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         n_max: int | None = None, stop_tol: float = 1e-12,
-        eval_grid: EvalGrid | None = None, rho_every: int = 1,
+        eval_grid: EvalGrid | None = None,
         y_indices=None) -> tuple[GreedyState, RunTrace]:
     """Execute the selection loop and record the per-step trace.
 
     Stops at n_max or when the residual power drops to stop_tol * max(diag).
-    `eval_grid` enables the rho column (recorded every rho_every steps and at
-    the last step, whether that is step n_max or the step after which the
-    run converged) and the final `grid_power`, and is required in extended
-    mode, where `y_indices` restricts the interior evaluation points
-    considered for selection (default: all of them).
+    `eval_grid` enables the rho column, the final `grid_power` and
+    `grid_rows`, and is required in extended mode, where `y_indices`
+    restricts the interior evaluation points considered for selection
+    (default: all of them).
     """
     if mode not in ("standard", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
-    if rho_every < 1:
-        raise ValueError("rho_every must be >= 1")
     n_max = len(fset) if n_max is None else n_max
     if not 0 <= n_max <= len(fset):
         raise ValueError(f"n_max={n_max} is outside [0, {len(fset)}], the candidate count")
@@ -362,16 +353,16 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     h_dom = fill_distance([], dom_ref) if len(dom_ref) else math.nan
     h_bnd = fill_distance([], bnd_ref) if len(bnd_ref) else math.nan
 
-    rows = {k: [] for k in ("sigma", "rho", "kind", "h_domain", "h_boundary",
+    rows = {k: [] for k in ("sigma", "kind", "h_domain", "h_boundary",
                             "cond_c", "bmax")}
-    for step in range(1, n_max + 1):
+    for _ in range(n_max):
         try:
             if mode == "extended":
                 tracker.sync(state)
                 y_max = tracker.interior_max(y_indices)
                 z_max = float(state.residual_power[bnd_idx].max()) if bnd_idx.size else -np.inf
                 on_boundary = z_max >= y_max
-                chosen = select_extended(state, max(y_max, z_max), on_boundary, stop_tol)
+                chosen = select_extended(state, on_boundary, stop_tol)
             else:
                 chosen = select_standard(state, stop_tol)
         except Converged:
@@ -393,12 +384,6 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
             dmin_dom = d if dmin_dom is None else np.minimum(dmin_dom, d)
             h_dom = float(dmin_dom.max())
 
-        if tracker is not None and (mode == "extended" or step % rho_every == 0):
-            tracker.sync(state)
-            rows["rho"].append(tracker.rho())
-        else:
-            rows["rho"].append(math.nan)
-
         rows["sigma"].append(state.sigma())
         rows["kind"].append("B" if is_boundary else "D")
         rows["h_domain"].append(h_dom)
@@ -407,16 +392,13 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         rows["bmax"].append(float(state.residual_power[bnd_idx].max()) if bnd_idx.size
                             else math.nan)
 
+    n_steps = len(rows["sigma"])
     if tracker is not None:
         tracker.sync(state)
-        if rows["rho"]:  # the last step that ran, however the loop ended
-            rows["rho"][-1] = tracker.rho()
-
-    n_steps = len(rows["sigma"])
     trace = RunTrace(
         steps=np.arange(1, n_steps + 1),
         sigma=np.array(rows["sigma"]),
-        rho=np.array(rows["rho"]),
+        rho=np.array(tracker.rho) if tracker is not None else np.full(n_steps, math.nan),
         kind=rows["kind"],
         h_domain=np.array(rows["h_domain"]),
         h_boundary=np.array(rows["h_boundary"]),

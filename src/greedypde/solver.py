@@ -37,25 +37,21 @@ class ProjectionSolution:
     newton_coefficients: np.ndarray
 
 
-def evaluate_basis(state: GreedyState, fset: FunctionalSet | None = None,
-                   spec: KernelSpec | None = None, points=None) -> BasisEvaluation:
+def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:
     """All basis functions on the points, as the C-weighted combination of
     raw representer values."""
-    fset = fset if fset is not None else state.fset
-    spec = spec if spec is not None else state.spec
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if state.n == 0:
         return BasisEvaluation(points=pts, values=np.zeros((0, len(pts))))
     raw = np.empty((state.n, len(pts)))
     for k, i in enumerate(state.selected):
-        raw[k] = riesz_row(fset[i], pts, spec)
+        raw[k] = riesz_row(state.fset[i], pts, state.spec)
     return BasisEvaluation(points=pts, values=state.c_matrix() @ raw)
 
 
-def power_on_deltas(state: GreedyState, basis_eval: BasisEvaluation,
-                    spec: KernelSpec | None = None) -> np.ndarray:
+def power_on_deltas(state: GreedyState, basis_eval: BasisEvaluation) -> np.ndarray:
     """P^2(delta_x) = K(x,x) - sum_k v_{mu_k}(x)^2 per point, clamped at 0."""
-    spec = spec if spec is not None else state.spec
+    spec = state.spec
     kxx = kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d))
     p2 = kxx - (basis_eval.values**2).sum(axis=0)
     return np.maximum(p2, 0.0)

@@ -85,5 +85,4 @@ def desk_m4_extended(desk_geometry, desk_grid):
 @pytest.fixture(scope="session")
 def desk_m4_basis(desk_m4, desk_grid):
     """Basis values of the desk m=4 run on the full evaluation grid."""
-    return evaluate_basis(desk_m4["state"], desk_m4["fset"], desk_m4["spec"],
-                          desk_grid.points)
+    return evaluate_basis(desk_m4["state"], desk_grid.points)

@@ -39,7 +39,7 @@ def criterion(num, desc, ok, details=""):
 def m6_solves(desk_m6, desk_grid):
     """Normalized error traces of the two test problems on the m=6 basis."""
     state, fset, spec = desk_m6["state"], desk_m6["fset"], desk_m6["spec"]
-    basis = evaluate_basis(state, fset, spec, desk_grid.points)
+    basis = evaluate_basis(state, desk_grid.points)
     out = {}
     center = (-math.pi / 10, 0.0)
     for name, problem in (("gaussian", GaussianBump(center=center)),
@@ -78,7 +78,7 @@ def test_criterion_1_oracle_equivalence():
     u = GaussianBump(center=(0.05, -0.15), shape=1.1)
     data = data_vector(fset, state.selected, u)
     dense = direct_collocation_solve(fset, state.selected, data, spec, pts)
-    basis = evaluate_basis(state, fset, spec, pts)
+    basis = evaluate_basis(state, pts)
     newton = approximate(data_to_newton(state, data), basis)
     sol_err = np.abs(newton - dense).max() / np.abs(dense).max()
     criterion(1, "Newton pipeline matches dense Gram solves",

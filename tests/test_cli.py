@@ -16,11 +16,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import greedypde.cli
 import greedypde.solver
 from greedypde.cli import main
 from greedypde.config import RunConfig, load_config, parse_config
 from greedypde.engine import restore_state
-from greedypde.errors import ConfigError
+from greedypde.errors import ConfigError, NumericalError
 from greedypde.functionals import FunctionalSet, read_functionals
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import KernelSpec
@@ -68,8 +69,10 @@ def test_config_parsing_with_comments_and_overrides():
 
 
 def test_config_unknown_key_is_named():
-    with pytest.raises(ConfigError, match="frobnicate"):
-        parse_config("frobnicate = 3\n")
+    # a removed key (rho_every) is refused like any other unknown key
+    for key in ("frobnicate", "rho_every"):
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(f"{key} = 1\n")
 
 
 def test_config_rejects_low_smoothness_with_constraint():
@@ -178,9 +181,38 @@ def test_build_artifacts_round_trip(built):
     assert np.abs(tbl[:, 2] - oracle).max() <= 1e-12
 
 
-def test_build_refuses_existing_output(built):
+def count_runs(monkeypatch):
+    """Make greedypde.cli.run count its calls; returns the counter list."""
+    calls = []
+    real_run = greedypde.cli.run
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(greedypde.cli, "run", counted)
+    return calls
+
+
+def test_build_refuses_existing_output(built, monkeypatch):
+    calls = count_runs(monkeypatch)
     rc = main(["build", "--config", built["cfg"], "--out", built["out"]])
     assert rc == 2
+    assert not calls  # refused before the greedy run
+
+
+def test_build_numerical_failure_leaves_no_output(tmp_path, monkeypatch, capsys):
+    def failing_run(*args, **kwargs):
+        raise NumericalError("residual power went negative beyond roundoff")
+
+    monkeypatch.setattr(greedypde.cli, "run", failing_run)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("out.partial-*"))
 
 
 def test_build_exit_code_on_bad_config(tmp_path):
@@ -204,13 +236,16 @@ def test_unreadable_config_exits_2_naming_path(tmp_path, capsys, kind):
     assert not (tmp_path / "x").exists()
 
 
-def test_output_directory_under_a_file_exits_2_naming_it(tmp_path, capsys):
+def test_output_directory_under_a_file_exits_2_naming_it(tmp_path, capsys,
+                                                         monkeypatch):
+    calls = count_runs(monkeypatch)
     cfg = write_cfg(tmp_path)
     out = os.path.join(cfg, "sub")
     capsys.readouterr()
     assert main(["build", "--config", cfg, "--out", out]) == 2
     assert out in capsys.readouterr().err
     assert os.path.isfile(cfg)
+    assert not calls  # refused before the greedy run
 
 
 def test_build_validates_workers_flag(tmp_path, capsys):

@@ -23,7 +23,7 @@ from greedypde.functionals import (
     gram,
 )
 from greedypde.geometry import disk_candidates, evaluation_grid
-from greedypde.kernels import KernelSpec
+from greedypde.kernels import KernelSpec, kernel_value
 from greedypde.parallel import resolve_workers
 from greedypde.solver import evaluate_basis, power_on_deltas
 
@@ -101,11 +101,11 @@ def test_select_extended_branches():
     state = init(fset, SPEC)
     boundary = fset.boundary_indices
     # delta power peaks on the boundary: strongest boundary delta is returned
-    chosen = select_extended(state, 8.0, True)
+    chosen = select_extended(state, True)
     assert chosen in boundary
     assert state.residual_power[chosen] == state.residual_power[boundary].max()
     # otherwise: standard rule
-    assert select_extended(state, 8.0, False) == select_standard(state)
+    assert select_extended(state, False) == select_standard(state)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +256,28 @@ def test_run_stops_early_on_large_tolerance():
     assert len(trace.steps) == state.n
 
 
-def test_deferred_rho_matches_eager_values():
-    geometry = disk_candidates(100, 12)
+@pytest.mark.parametrize("m, mode, stop_tol", [
+    (4, "standard", 1e-2), (6, "extended", 1e-12), (6, "standard", 1e-12)])
+def test_rho_matches_basis_oracle_at_every_step(m, mode, stop_tol):
+    # rho is recorded as the tracker deflates, which a standard run does only
+    # after the loop and an extended run before each selection; every step's
+    # value must still be the grid sup of K(0) minus the summed squares of
+    # the first k basis functions
+    geometry = disk_candidates(120, 16)
     fset = disk_functional_set(geometry)
     grid = evaluation_grid(geometry, 0.1)
-    _, eager = run(fset, SPEC, n_max=20, eval_grid=grid, rho_every=1)
-    _, lazy = run(fset, SPEC, n_max=20, eval_grid=grid, rho_every=7)
-    recorded = np.isfinite(lazy.rho)
-    assert np.array_equal(lazy.rho[recorded], eager.rho[recorded])
-    assert set(np.nonzero(recorded)[0] + 1) == {7, 14, 20}
+    spec = KernelSpec(m=m, d=2)
+    state, trace = run(fset, spec, mode=mode, n_max=30, stop_tol=stop_tol,
+                       eval_grid=grid)
+    k0 = kernel_value(spec, np.zeros(2), np.zeros(2))
+    values = evaluate_basis(state, grid.points).values
+    oracle = np.maximum(k0 - np.cumsum(values**2, axis=0), 0.0).max(axis=1)
+    assert len(trace.rho) == state.n
+    assert np.abs(trace.rho**2 - oracle).max() <= 1e-12 * k0
+
+    _, no_grid = run(fset, spec, n_max=5)
+    assert len(no_grid.rho) == 5
+    assert np.isnan(no_grid.rho).all()
 
 
 def test_grid_power_matches_basis_oracle_after_early_stop():
@@ -272,11 +285,10 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
     fset = disk_functional_set(geometry)
     grid = evaluation_grid(geometry, 0.1)
     state, trace = run(fset, SPEC, n_max=len(fset), stop_tol=1e-2,
-                       eval_grid=grid, rho_every=7)
-    # stopped on Converged between two rho steps, so only the final sync
-    # brings the last rows into the grid power, and rho is recorded there
+                       eval_grid=grid)
+    # stopped on Converged; a standard run syncs the grid only after the
+    # loop, so that sync brings every row into the grid power and rho
     assert state.n < len(fset)
-    assert trace.steps[-1] % 7 != 0
     assert trace.rho[-1] == np.sqrt(trace.grid_power.max())
     basis = evaluate_basis(state, points=grid.points)
     oracle = power_on_deltas(state, basis)

@@ -43,7 +43,7 @@ def test_single_step_basis_is_normalized_representer(small_run):
     pick = select_standard(state)
     extend(state, pick)
     pts = grid_points()
-    basis = evaluate_basis(state, fset, spec, pts)
+    basis = evaluate_basis(state, pts)
     f = fset.entries[pick]
     expected = riesz_value(f, pts, spec) / np.sqrt(dual_inner(f, f, spec))
     assert np.allclose(basis.values[0], expected, rtol=1e-12, atol=1e-12)
@@ -61,14 +61,14 @@ def test_power_on_deltas_with_empty_selection(small_run):
     fset, spec = small_run["fset"], small_run["spec"]
     state = init(fset, spec)
     pts = grid_points(40)
-    basis = evaluate_basis(state, fset, spec, pts)
-    assert np.allclose(power_on_deltas(state, basis, spec), 8.0)
+    basis = evaluate_basis(state, pts)
+    assert np.allclose(power_on_deltas(state, basis), 8.0)
 
 
 def test_power_telescoping_identity(small_run):
     state, fset, spec = small_run["state"], small_run["fset"], small_run["spec"]
     pts = grid_points(60)
-    basis = evaluate_basis(state, fset, spec, pts)
+    basis = evaluate_basis(state, pts)
     kxx = kernel_value(spec, np.zeros(2), np.zeros(2))
     p2 = kxx - np.cumsum(basis.values**2, axis=0)  # P^2 after each prefix
     drops = -np.diff(p2, axis=0)
@@ -80,8 +80,8 @@ def test_power_zero_at_selected_boundary_points(small_run):
     zsel = [i for i in state.selected if not fset.domain_mask[i]]
     assert zsel, "run selected no boundary functionals"
     pts = fset.points[zsel]
-    basis = evaluate_basis(state, fset, spec, pts)
-    assert power_on_deltas(state, basis, spec).max() <= 1e-10
+    basis = evaluate_basis(state, pts)
+    assert power_on_deltas(state, basis).max() <= 1e-10
 
 
 def test_power_matches_direct_gram_formula(small_run):
@@ -90,8 +90,8 @@ def test_power_matches_direct_gram_formula(small_run):
     for _ in range(30):
         extend(state, select_standard(state))
     pts = grid_points(80)
-    basis = evaluate_basis(state, fset, spec, pts)
-    mine = power_on_deltas(state, basis, spec)
+    basis = evaluate_basis(state, pts)
+    mine = power_on_deltas(state, basis)
     A = gram([fset.entries[i] for i in state.selected], spec)
     B = np.array([riesz_value(fset.entries[i], pts, spec) for i in state.selected])
     kxx = kernel_value(spec, np.zeros(2), np.zeros(2))
@@ -152,7 +152,7 @@ def test_projection_reproduces_own_representer(small_run):
     data = np.array([dual_inner(f, f, spec)])
     mu = data_to_newton(state, data)
     pts = grid_points(50)
-    basis = evaluate_basis(state, fset, spec, pts)
+    basis = evaluate_basis(state, pts)
     u_tilde = approximate(mu, basis)
     assert np.abs(u_tilde - riesz_value(f, pts, spec)).max() <= 1e-10
 
@@ -186,7 +186,7 @@ def test_newton_pipeline_agrees_with_dense_oracle(small_run):
     data = data_vector(fset, state.selected, u)
     pts = grid_points(100)
     direct = direct_collocation_solve(fset, state.selected, data, spec, pts)
-    basis = evaluate_basis(state, fset, spec, pts)
+    basis = evaluate_basis(state, pts)
     mine = approximate(data_to_newton(state, data), basis)
     scale = np.abs(direct).max()
     assert np.abs(mine - direct).max() <= 1e-8 * scale
@@ -224,10 +224,10 @@ def test_error_bound_validity(small_run):
     ]) / norm
     mu = data_to_newton(state, data)
     pts = grid_points(100)
-    basis = evaluate_basis(state, fset, spec, pts)
+    basis = evaluate_basis(state, pts)
     u_vals = riesz_value(lam, pts, spec) / norm
     err = np.abs(u_vals - approximate(mu, basis))
-    bound = np.sqrt(power_on_deltas(state, basis, spec))
+    bound = np.sqrt(power_on_deltas(state, basis))
     assert np.all(err <= bound + 1e-8)
 
 
@@ -242,7 +242,7 @@ def test_direct_collocation_rejects_singular_gram():
 
 def test_approximate_rejects_too_many_coefficients(small_run):
     state, fset, spec = small_run["state"], small_run["fset"], small_run["spec"]
-    basis = evaluate_basis(state, fset, spec, grid_points(10))
+    basis = evaluate_basis(state, grid_points(10))
     with pytest.raises(ValueError):
         approximate(np.ones(state.n + 1), basis)
 
