@@ -11,20 +11,16 @@ The defaults finish in well under a minute; pass --domain 17570 --boundary 150
 """
 
 import argparse
-import math
 import os
 import sys
 
 import numpy as np
 
 from greedypde.analysis import fit_rate, singular_values
-from greedypde.cli import basis_on_grid, cmd_build, cmd_solve
+from greedypde.cli import basis_on_grid, cmd_build, cmd_solve, load_basis
 from greedypde.config import RunConfig
-from greedypde.engine import restore_state
-from greedypde.functionals import FunctionalSet, read_functionals
 from greedypde.geometry import disk_candidates, evaluation_grid
-from greedypde.kernels import KernelSpec
-from greedypde.runio import read_matrix_csv, read_table_csv, read_trace_csv
+from greedypde.runio import read_table_csv, read_trace_csv
 
 
 def build_config(args, m, mode="standard"):
@@ -95,9 +91,7 @@ def main():
 
     print("== singular values of the m=4 basis on the evaluation grid ==")
     m4_dir = os.path.join(args.out, "build_m4")
-    entries = read_functionals(os.path.join(m4_dir, "selected.txt"))
-    cmat = read_matrix_csv(os.path.join(m4_dir, "cmatrix.csv"))
-    state = restore_state(FunctionalSet(entries), cmat, KernelSpec(m=4, d=2))
+    state = load_basis(m4_dir, build_config(args, 4))
     geometry = disk_candidates(args.domain, args.boundary)
     grid = evaluation_grid(geometry, args.grid_spacing)
     values = basis_on_grid(m4_dir, state, grid.points).values

@@ -46,8 +46,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility; has no effect")
         if name == "solve":
             p.add_argument("--basis", required=True,
                            help="directory produced by `build`")
@@ -205,31 +203,41 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         _write_analysis(tmp, trace)
 
 
+def load_basis(basis_dir: str, cfg: RunConfig) -> GreedyState:
+    """The basis that `build` stored under basis_dir, as a solver state.
+
+    Raises ConfigError naming the file when the directory is not a build
+    output, its kernel parameters differ from the config's, or selected.txt
+    or cmatrix.csv is malformed or does not match the other.
+    """
+    kernel_path = os.path.join(basis_dir, "kernel.txt")
+    if not os.path.exists(kernel_path):
+        raise ConfigError(f"basis: {basis_dir!r} does not look like a build output")
+    params = _read_artifact(runio.read_params, kernel_path)
+    ours = {"m": cfg.m, "d": cfg.d, "scale": cfg.scale}
+    if any(params.get(k) != v for k, v in ours.items()):
+        raise ConfigError(
+            f"{kernel_path}: kernel parameters {params} do not match the config {ours}"
+        )
+    spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
+    selected_path = os.path.join(basis_dir, "selected.txt")
+    fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)), selected_path)
+    if fset.points.shape[1] != spec.d:
+        raise ConfigError(f"{selected_path}: points have {fset.points.shape[1]} "
+                          f"coordinates, the kernel needs d = {spec.d}")
+    if not np.isfinite(fset.points).all():
+        raise ConfigError(f"{selected_path}: a point has a non-finite coordinate")
+    cmat_path = os.path.join(basis_dir, "cmatrix.csv")
+    cmat = _read_artifact(_read_c_matrix, cmat_path)
+    if cmat.shape != (len(fset), len(fset)):
+        raise ConfigError(f"{cmat_path}: shape {cmat.shape} does not match the "
+                          f"{len(fset)} functionals of selected.txt")
+    return restore_state(fset, cmat, spec)
+
+
 def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     with _output_dir(out_dir) as tmp:
-        kernel_path = os.path.join(basis_dir, "kernel.txt")
-        if not os.path.exists(kernel_path):
-            raise ConfigError(f"basis: {basis_dir!r} does not look like a build output")
-        params = _read_artifact(runio.read_params, kernel_path)
-        ours = {"m": cfg.m, "d": cfg.d, "scale": cfg.scale}
-        if any(params.get(k) != v for k, v in ours.items()):
-            raise ConfigError(
-                f"{kernel_path}: kernel parameters {params} do not match the config {ours}"
-            )
-        spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
-        selected_path = os.path.join(basis_dir, "selected.txt")
-        fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)), selected_path)
-        if fset.points.shape[1] != spec.d:
-            raise ConfigError(f"{selected_path}: points have {fset.points.shape[1]} "
-                              f"coordinates, the kernel needs d = {spec.d}")
-        if not np.isfinite(fset.points).all():
-            raise ConfigError(f"{selected_path}: a point has a non-finite coordinate")
-        cmat_path = os.path.join(basis_dir, "cmatrix.csv")
-        cmat = _read_artifact(_read_c_matrix, cmat_path)
-        if cmat.shape != (len(fset), len(fset)):
-            raise ConfigError(f"{cmat_path}: shape {cmat.shape} does not match the "
-                              f"{len(fset)} functionals of selected.txt")
-        state = restore_state(fset, cmat, spec)
+        state = load_basis(basis_dir, cfg)
         problem = _problem(cfg)
 
         geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
@@ -287,9 +295,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _read_artifact(load_config, args.config)
-        if args.workers is not None:
-            cfg.workers = args.workers
-            cfg.validate()
         out_dir = args.out if args.out is not None else cfg.out_dir
         if args.command == "build":
             cmd_build(cfg, out_dir)

@@ -56,8 +56,8 @@ class RunConfig:
             raise ConfigError("domain_count/boundary_count: must be >= 1")
         if self.n_max < 1:
             raise ConfigError("n_max: must be >= 1")
-        if self.stop_tol < 0:
-            raise ConfigError("stop_tol: must be >= 0")
+        if not 0 <= self.stop_tol < 1:  # at 1 or above not even the first step is taken
+            raise ConfigError(f"stop_tol: must be >= 0 and < 1, got {self.stop_tol!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
         if self.grid_spacing <= 0:

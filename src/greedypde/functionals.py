@@ -7,13 +7,10 @@ computed by applying each functional to one argument of the kernel,
 (lam, mu) = lam^x mu^y K(x, y), which reduces to the kernel value, the single
 Laplacian or the double Laplacian depending on the kind pair.
 
-Functionals optionally carry a weight multiplier (default 1) that scales the
-functional and its Riesz representer alike.
-
-A candidate set (FunctionalSet) is stored as three packed arrays, the points,
-the operator-delta mask and the weights, which are all the column, power and
-selection code reads; a Functional object is built from them only when a
-caller asks for one entry.
+A candidate set (FunctionalSet) is stored as two packed arrays, the points
+and the operator-delta mask, which are all the column, power and selection
+code reads; a Functional object is built from them only when a caller asks
+for one entry.
 """
 
 from __future__ import annotations
@@ -44,30 +41,29 @@ class Functional:
     kind: str
     point: tuple[float, ...]
     index: int
-    weight: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (BOUNDARY_DELTA, DOMAIN_OP_DELTA):
             raise ValueError(f"unknown functional kind {self.kind!r}")
 
 
-def boundary_delta(point, index: int, weight: float = 1.0) -> Functional:
-    return Functional(BOUNDARY_DELTA, tuple(float(c) for c in point), index, weight)
+def boundary_delta(point, index: int) -> Functional:
+    return Functional(BOUNDARY_DELTA, tuple(float(c) for c in point), index)
 
 
-def domain_op_delta(point, index: int, weight: float = 1.0) -> Functional:
-    return Functional(DOMAIN_OP_DELTA, tuple(float(c) for c in point), index, weight)
+def domain_op_delta(point, index: int) -> Functional:
+    return Functional(DOMAIN_OP_DELTA, tuple(float(c) for c in point), index)
 
 
 class FunctionalSet(Sequence):
     """A finite, fixed candidate set, held as packed arrays.
 
-    `points` (n, d), `domain_mask` (n, True for an operator delta) and
-    `weights` (n) are the whole state, and are read-only.  Indexing builds
-    the Functional of one entry, with its position as its index; a slice
-    gives a list of them.  FunctionalSet(entries) packs a list of
-    functionals, which must be indexed contiguously from 0 in list order;
-    `from_arrays` takes the arrays directly.
+    `points` (n, d) and `domain_mask` (n, True for an operator delta) are
+    the whole state, and are read-only.  Indexing builds the Functional of
+    one entry, with its position as its index; a slice gives a list of them.
+    FunctionalSet(entries) packs a list of functionals, which must be indexed
+    contiguously from 0 in list order; `from_arrays` takes the arrays
+    directly.
     """
 
     def __init__(self, entries: Sequence[Functional]):
@@ -75,32 +71,28 @@ class FunctionalSet(Sequence):
             if f.index != i:
                 raise ValueError(f"entry {i} carries index {f.index}; must be contiguous")
         self._pack(np.array([f.point for f in entries], dtype=float),
-                   np.array([f.kind == DOMAIN_OP_DELTA for f in entries], dtype=bool),
-                   np.array([f.weight for f in entries], dtype=float))
+                   np.array([f.kind == DOMAIN_OP_DELTA for f in entries], dtype=bool))
 
     @classmethod
-    def from_arrays(cls, points, domain_mask, weights) -> FunctionalSet:
-        """The set whose entry i has point points[i], is an operator delta
-        where domain_mask[i] holds and carries weight weights[i]."""
+    def from_arrays(cls, points, domain_mask) -> FunctionalSet:
+        """The set whose entry i has point points[i] and is an operator delta
+        where domain_mask[i] holds."""
         fset = cls.__new__(cls)
-        fset._pack(np.array(points, dtype=float), np.array(domain_mask, dtype=bool),
-                   np.array(weights, dtype=float))
+        fset._pack(np.array(points, dtype=float), np.array(domain_mask, dtype=bool))
         return fset
 
-    def _pack(self, points: np.ndarray, domain_mask: np.ndarray,
-              weights: np.ndarray) -> None:
+    def _pack(self, points: np.ndarray, domain_mask: np.ndarray) -> None:
         n = len(points)
         if n == 0:
             raise ValueError("functional set must be nonempty")
-        if points.ndim != 2 or domain_mask.shape != (n,) or weights.shape != (n,):
-            raise ValueError(f"points {points.shape}, domain_mask {domain_mask.shape} "
-                             f"and weights {weights.shape} do not describe one set")
+        if points.ndim != 2 or domain_mask.shape != (n,):
+            raise ValueError(f"points {points.shape} and domain_mask "
+                             f"{domain_mask.shape} do not describe one set")
         self.points = points
         self.domain_mask = domain_mask
-        self.weights = weights
         # the extended rule reads this every step
         self.boundary_indices = np.flatnonzero(~domain_mask)
-        for a in (points, domain_mask, weights, self.boundary_indices):
+        for a in (points, domain_mask, self.boundary_indices):
             a.flags.writeable = False
 
     def __len__(self) -> int:
@@ -115,13 +107,7 @@ class FunctionalSet(Sequence):
             raise IndexError(f"functional index {i} is outside a set of {n}")
         i %= n
         kind = DOMAIN_OP_DELTA if self.domain_mask[i] else BOUNDARY_DELTA
-        return Functional(kind, tuple(self.points[i].tolist()), i, float(self.weights[i]))
-
-    @property
-    def entries(self) -> FunctionalSet:
-        """The functionals in set order: the set itself, as a sequence whose
-        entries are built on demand."""
-        return self
+        return Functional(kind, tuple(self.points[i].tolist()), i)
 
     @property
     def counts(self) -> tuple[int, int]:
@@ -130,27 +116,23 @@ class FunctionalSet(Sequence):
         return len(self) - nb, nb
 
 
-def disk_functional_set(geometry, domain_weight=1.0, boundary_weight=1.0) -> FunctionalSet:
+def disk_functional_set(geometry) -> FunctionalSet:
     """Operator deltas on all domain candidates, then boundary deltas on the
     boundary candidates, indexed contiguously in that order."""
     nd, nb = len(geometry.domain_points), len(geometry.boundary_points)
     return FunctionalSet.from_arrays(
         np.concatenate([geometry.domain_points, geometry.boundary_points]),
         np.arange(nd + nb) < nd,
-        np.concatenate([np.full(nd, float(domain_weight)),
-                        np.full(nb, float(boundary_weight))]),
     )
 
 
 def dual_inner(a: Functional, b: Functional, spec: KernelSpec) -> float:
     """(a, b) in the dual space; symmetric in its arguments."""
     if a.kind == DOMAIN_OP_DELTA and b.kind == DOMAIN_OP_DELTA:
-        base = bilaplacian(spec, a.point, b.point)
-    elif a.kind == BOUNDARY_DELTA and b.kind == BOUNDARY_DELTA:
-        base = kernel_value(spec, a.point, b.point)
-    else:
-        base = laplacian_y(spec, a.point, b.point)
-    return a.weight * b.weight * base
+        return bilaplacian(spec, a.point, b.point)
+    if a.kind == BOUNDARY_DELTA and b.kind == BOUNDARY_DELTA:
+        return kernel_value(spec, a.point, b.point)
+    return laplacian_y(spec, a.point, b.point)
 
 
 class BilaplacianTable:
@@ -246,10 +228,10 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
                       distances: np.ndarray | None = None) -> np.ndarray:
     """(lam, f) for every lam in the set, as one vector over set order.
 
-    Before weighting, (lam, f) depends only on the kinds and on the scaled
-    distance t = ||lam - f|| / scale, and the kernel evaluators are pure
-    functions of t, so each value is evaluated once per distinct t and
-    gathered; the result is exactly the per-candidate one.  Operator-delta
+    (lam, f) depends only on the kinds and on the scaled distance
+    t = ||lam - f|| / scale, and the kernel evaluators are pure functions of
+    t, so each value is evaluated once per distinct t and gathered; the
+    result is exactly the per-candidate one.  Operator-delta
     pairs go through `table`, which a greedy run keeps across all its columns
     so that each of their radii is evaluated once per run (a fresh table when
     None); the pairs with a boundary delta, whose radii rarely repeat across
@@ -272,7 +254,7 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
     else:
         out[dm] = _per_distinct_radius(radial_laplacian, spec, t[dm])
         out[bm] = _per_distinct_radius(radial_kernel, spec, t[bm])
-    return out * (f.weight * fset.weights)
+    return out
 
 
 def self_inner_column(fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:
@@ -281,14 +263,13 @@ def self_inner_column(fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:
     origin = np.zeros(spec.d)
     dd = bilaplacian(spec, origin, origin)
     bb = kernel_value(spec, origin, origin)
-    return np.where(fset.domain_mask, dd, bb) * fset.weights**2
+    return np.where(fset.domain_mask, dd, bb)
 
 
 def gram(functionals: Sequence[Functional], spec: KernelSpec) -> np.ndarray:
     """Dense symmetric Gram matrix of dual inner products."""
     pts = np.array([f.point for f in functionals], dtype=float)
     dm = np.array([f.kind == DOMAIN_OP_DELTA for f in functionals], dtype=bool)
-    w = np.array([f.weight for f in functionals], dtype=float)
     k = len(functionals)
     G = np.empty((k, k))
     di = np.nonzero(dm)[0]
@@ -301,15 +282,15 @@ def gram(functionals: Sequence[Functional], spec: KernelSpec) -> np.ndarray:
         cross = laplacian_y(spec, pts[di][:, None, :], pts[bi][None, :, :])
         G[np.ix_(di, bi)] = cross
         G[np.ix_(bi, di)] = cross.T
-    return G * np.outer(w, w)
+    return G
 
 
 def riesz_value(f: Functional, x, spec: KernelSpec):
     """Riesz representer v_f evaluated at x; broadcasts over point arrays."""
     p = np.asarray(f.point, dtype=float)
     if f.kind == BOUNDARY_DELTA:
-        return f.weight * kernel_value(spec, p, x)
-    return f.weight * laplacian_y(spec, np.asarray(x, dtype=float), p)
+        return kernel_value(spec, p, x)
+    return laplacian_y(spec, np.asarray(x, dtype=float), p)
 
 
 def riesz_row(f: Functional, points: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -368,10 +349,10 @@ def _sq_dist(x, center):
 
 def apply_to_solution(f: Functional, solution) -> float:
     """lam(u): the solution value for boundary deltas, its Laplacian for
-    operator deltas, times the functional weight."""
+    operator deltas."""
     x = np.asarray(f.point, dtype=float)
     v = solution.value(x) if f.kind == BOUNDARY_DELTA else solution.laplacian(x)
-    return f.weight * float(v)
+    return float(v)
 
 
 def data_vector(fset: FunctionalSet, indices, solution) -> np.ndarray:
@@ -384,7 +365,7 @@ def data_vector(fset: FunctionalSet, indices, solution) -> np.ndarray:
         out[dm] = solution.laplacian(pts[dm])
     if (~dm).any():
         out[~dm] = solution.value(pts[~dm])
-    return out * fset.weights[idx]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +373,7 @@ def data_vector(fset: FunctionalSet, indices, solution) -> np.ndarray:
 
 
 def write_functionals(path, entries: Sequence[Functional]) -> None:
-    """Dump functionals as 'B|D x1 ... xd' lines.  Weights are not part of
-    the format; reloaded sets carry the default weight 1."""
+    """Dump functionals as 'B|D x1 ... xd' lines."""
     with open(path, "w") as fh:
         for f in entries:
             coords = " ".join(format(c, ".17g") for c in f.point)

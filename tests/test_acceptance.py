@@ -62,9 +62,9 @@ def test_criterion_1_oracle_equivalence():
     state = init(fset, spec)
     for _ in range(30):
         extend(state, int(np.argmax(state.residual_power)))
-    A = gram([fset.entries[i] for i in state.selected], spec)
-    B = np.array([[dual_inner(f, fset.entries[i], spec) for i in state.selected]
-                  for f in fset.entries])
+    A = gram([fset[i] for i in state.selected], spec)
+    B = np.array([[dual_inner(f, fset[i], spec) for i in state.selected]
+                  for f in fset])
     direct = state.diag - np.einsum("ij,ij->i", B, np.linalg.solve(A, B.T).T)
     scale = float(state.diag.max())
     power_ok = np.all(
@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_orthonormality_and_pythagoras(desk_m4):
     state, fset, spec = desk_m4["state"], desk_m4["fset"], desk_m4["spec"]
     sel = state.selected[:100]
-    A = gram([fset.entries[i] for i in sel], spec)
+    A = gram([fset[i] for i in sel], spec)
     C = state.c_matrix()[:100, :100]
     ortho_dev = float(np.abs(C @ A @ C.T - np.eye(100)).max())
 

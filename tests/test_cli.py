@@ -248,12 +248,14 @@ def test_output_directory_under_a_file_exits_2_naming_it(tmp_path, capsys,
     assert not calls  # refused before the greedy run
 
 
-def test_build_validates_workers_flag(tmp_path, capsys):
-    cfg = write_cfg(tmp_path)
+@pytest.mark.parametrize("key, value", [("workers", "-3"), ("stop_tol", "1")],
+                         ids=["workers", "stop_tol"])
+def test_build_out_of_range_key_exits_2_naming_it(tmp_path, capsys, key, value):
+    cfg = write_cfg(tmp_path, SMALL_CFG + f"{key} = {value}\n")
     out = tmp_path / "w"
     capsys.readouterr()
-    assert main(["build", "--config", cfg, "--out", str(out), "--workers", "-3"]) == 2
-    assert "workers" in capsys.readouterr().err
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -265,8 +267,8 @@ def test_build_rejects_oversized_n_max(tmp_path):
 def test_build_determinism_bit_identical(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("n_max = 40", "n_max = 15"))
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["build", "--config", cfg, "--out", out1, "--workers", "1"]) == 0
-    assert main(["build", "--config", cfg, "--out", out2, "--workers", "1"]) == 0
+    assert main(["build", "--config", cfg, "--out", out1]) == 0
+    assert main(["build", "--config", cfg, "--out", out2]) == 0
     for name in ("trace.csv", "cmatrix.csv", "selected.txt", "powergrid.csv"):
         b1 = open(os.path.join(out1, name), "rb").read()
         b2 = open(os.path.join(out2, name), "rb").read()

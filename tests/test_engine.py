@@ -16,16 +16,20 @@ from greedypde.engine import (
 from greedypde.errors import Converged, InvalidSelectionError
 from greedypde.functionals import (
     FunctionalSet,
+    GaussianBump,
     boundary_delta,
+    data_vector,
     disk_functional_set,
     domain_op_delta,
     dual_inner,
     gram,
+    read_functionals,
+    write_functionals,
 )
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import KernelSpec, kernel_value
 from greedypde.parallel import resolve_workers
-from greedypde.solver import evaluate_basis, power_on_deltas
+from greedypde.solver import data_to_newton, evaluate_basis, power_on_deltas
 
 SPEC = KernelSpec(m=4, d=2)
 
@@ -44,13 +48,13 @@ def toy_disk(n_domain=180, n_boundary=20):
 
 def brute_residuals(fset, spec, selected):
     """Direct Gram-solve oracle for the residual powers."""
-    diag = np.array([dual_inner(f, f, spec) for f in fset.entries])
+    diag = np.array([dual_inner(f, f, spec) for f in fset])
     if not selected:
         return diag
-    A = gram([fset.entries[i] for i in selected], spec)
+    A = gram([fset[i] for i in selected], spec)
     B = np.array([
-        [dual_inner(f, fset.entries[i], spec) for i in selected]
-        for f in fset.entries
+        [dual_inner(f, fset[i], spec) for i in selected]
+        for f in fset
     ])
     return diag - np.einsum("ij,ij->i", B, np.linalg.solve(A, B.T).T)
 
@@ -132,8 +136,8 @@ def test_two_step_power_formula():
     fset = toy_three()
     state = init(fset, SPEC)
     extend(state, 0)
-    e0 = fset.entries[0]
-    for i, f in enumerate(fset.entries):
+    e0 = fset[0]
+    for i, f in enumerate(fset):
         expected = dual_inner(f, f, SPEC) - dual_inner(f, e0, SPEC) ** 2 / dual_inner(e0, e0, SPEC)
         assert state.residual_power[i] == pytest.approx(expected, abs=1e-12)
 
@@ -165,7 +169,7 @@ def test_residuals_match_gram_oracle_up_to_thirty_steps():
 def test_orthonormality_c_gram_identity(small_run):
     state = small_run["state"]
     fset = small_run["fset"]
-    A = gram([fset.entries[i] for i in state.selected], small_run["spec"])
+    A = gram([fset[i] for i in state.selected], small_run["spec"])
     C = state.c_matrix()
     assert np.abs(C @ A @ C.T - np.eye(state.n)).max() <= 1e-8
 
@@ -337,27 +341,22 @@ def test_resolve_workers_counts_affinity_mask(monkeypatch):
     assert resolve_workers(0) == 64
 
 
-def test_boundary_weight_biases_selection():
-    geometry = disk_candidates(120, 16)
-    heavy = disk_functional_set(geometry, boundary_weight=3.0)
-    state = init(heavy, SPEC)
-    assert np.allclose(state.diag[~heavy.domain_mask], 9.0 * 8.0)
-    s_heavy, _ = run(heavy, SPEC, n_max=20)
-    s_plain, _ = run(disk_functional_set(geometry), SPEC, n_max=20)
-    nb = lambda s, fs: sum(1 for i in s.selected if not fs.domain_mask[i])
-    assert nb(s_heavy, heavy) > nb(s_plain, disk_functional_set(geometry))
-
-
-def test_restore_state_round_trip(small_run):
-    state = small_run["state"]
-    fset = small_run["fset"]
-    sel_entries = [fset.entries[i] for i in state.selected]
-    reindexed = FunctionalSet([
-        type(f)(f.kind, f.point, i, f.weight) for i, f in enumerate(sel_entries)
-    ])
-    stub = restore_state(reindexed, state.c_matrix(), small_run["spec"])
+def test_restore_state_round_trip(small_run, tmp_path):
+    # the selection goes through selected.txt as `solve` reloads it, and the
+    # reloaded basis must solve exactly as the in-memory one does
+    state, fset, spec = small_run["state"], small_run["fset"], small_run["spec"]
+    path = tmp_path / "selected.txt"
+    write_functionals(path, [fset[i] for i in state.selected])
+    stub = restore_state(FunctionalSet(read_functionals(path)), state.c_matrix(), spec)
     assert np.array_equal(stub.c_matrix(), state.c_matrix())
     assert stub.n == state.n
+    problem = GaussianBump(center=(-0.3, 0.1))
+    mu = data_to_newton(state, data_vector(fset, state.selected, problem))
+    mu_stub = data_to_newton(stub, data_vector(stub.fset, range(stub.n), problem))
+    assert mu_stub.tobytes() == mu.tobytes()
+    points = small_run["grid"].points
+    assert (evaluate_basis(stub, points).values.tobytes()
+            == evaluate_basis(state, points).values.tobytes())
 
 
 def test_run_holds_only_the_contract_arrays():

@@ -71,17 +71,6 @@ def test_dual_inner_cross_kind_is_laplacian(rng):
     assert dual_inner(a, b, SPEC) == pytest.approx(laplacian_y(SPEC, x, z), rel=1e-14)
 
 
-def test_weights_scale_inner_products_and_representers(rng):
-    x, z = coords(rng, 2)
-    a = domain_op_delta(x, 0, weight=2.5)
-    b = boundary_delta(z, 1, weight=0.5)
-    a1 = domain_op_delta(x, 0)
-    b1 = boundary_delta(z, 1)
-    assert dual_inner(a, b, SPEC) == pytest.approx(1.25 * dual_inner(a1, b1, SPEC))
-    pt = np.array([0.2, 0.2])
-    assert riesz_value(a, pt, SPEC) == pytest.approx(2.5 * riesz_value(a1, pt, SPEC))
-
-
 def test_riesz_definitions(rng):
     z = np.array([0.4, -0.3])
     x = np.array([-0.1, 0.6])
@@ -105,10 +94,10 @@ def test_riesz_is_reproduction_of_dual_inner(rng):
 def test_dual_inner_column_matches_scalar_path():
     # exact: the column evaluates each distinct distance once and gathers
     geometry = disk_candidates(60, 12)
-    fset = disk_functional_set(geometry, domain_weight=0.7, boundary_weight=1.3)
+    fset = disk_functional_set(geometry)
     for spec in (SPEC, KernelSpec(m=6, d=2)):
-        for f in (fset.entries[5], fset.entries[len(fset) - 3]):  # a D and a B centre
-            expected = np.array([dual_inner(g, f, spec) for g in fset.entries])
+        for f in (fset[5], fset[len(fset) - 3]):  # a D and a B centre
+            expected = np.array([dual_inner(g, f, spec) for g in fset])
             col = dual_inner_column(f, fset, spec)
             assert np.array_equal(col, expected), f.kind
             given_distances = dual_inner_column(f, fset, spec,
@@ -119,14 +108,14 @@ def test_dual_inner_column_matches_scalar_path():
 def test_shared_table_columns_match_scalar_path():
     # one table through a run of D and B columns, as a greedy run uses it
     geometry = disk_candidates(80, 12)
-    fset = disk_functional_set(geometry, domain_weight=0.7, boundary_weight=1.3)
+    fset = disk_functional_set(geometry)
     n_dom = fset.counts[0]
     for spec in (KernelSpec(m=4, d=2, scale=0.8), KernelSpec(m=6, d=2, scale=1.7)):
         table = BilaplacianTable(spec)
         sizes = []
         for i in (5, n_dom + 2, 5, 40, len(fset) - 1, 41):
-            f = fset.entries[i]
-            expected = np.array([dual_inner(g, f, spec) for g in fset.entries])
+            f = fset[i]
+            expected = np.array([dual_inner(g, f, spec) for g in fset])
             assert np.array_equal(dual_inner_column(f, fset, spec, table), expected), i
             sizes.append(len(table))
         assert sizes[0] > 0
@@ -134,7 +123,7 @@ def test_shared_table_columns_match_scalar_path():
         assert sizes[2] == sizes[1]  # the repeated D centre: all hits
         assert sizes[3] > sizes[2]   # a new D centre: fresh misses
         with pytest.raises(ValueError):
-            dual_inner_column(fset.entries[5], fset, SPEC, table)
+            dual_inner_column(fset[5], fset, SPEC, table)
 
 
 def test_bilaplacian_table_lookup_equals_direct_evaluation(rng):
@@ -162,10 +151,10 @@ def test_bilaplacian_table_evaluates_each_radius_once(monkeypatch):
     fset = disk_functional_set(disk_candidates(300, 30))
     spec = KernelSpec(m=6, d=2)
     table = BilaplacianTable(spec)
-    dual_inner_column(fset.entries[7], fset, spec, table)
+    dual_inner_column(fset[7], fset, spec, table)
     first = len(evaluated)
     assert first == len(table) > 0
-    dual_inner_column(fset.entries[7], fset, spec, table)
+    dual_inner_column(fset[7], fset, spec, table)
     assert len(evaluated) == first  # a repeated D centre evaluates no radius
 
     evaluated.clear()
@@ -178,7 +167,7 @@ def test_self_inner_column_matches_scalar_path():
     geometry = disk_candidates(40, 8)
     fset = disk_functional_set(geometry)
     diag = self_inner_column(fset, SPEC)
-    expected = np.array([dual_inner(f, f, SPEC) for f in fset.entries])
+    expected = np.array([dual_inner(f, f, SPEC) for f in fset])
     assert np.allclose(diag, expected, rtol=1e-13)
 
 
@@ -186,7 +175,7 @@ def test_gram_symmetric_and_psd(rng):
     geometry = disk_candidates(200, 30)
     fset = disk_functional_set(geometry)
     idx = rng.choice(len(fset), size=50, replace=False)
-    G = gram([fset.entries[i] for i in idx], SPEC)
+    G = gram([fset[i] for i in idx], SPEC)
     assert np.allclose(G, G.T, rtol=0, atol=1e-12)
     # pivoted Cholesky completes through full rank for distinct functionals
     _, _, rank, _ = dpstrf(G, tol=1e-10)
@@ -207,7 +196,7 @@ def test_disk_set_counts_and_invariants():
     bpts = fset.points[~fset.domain_mask]
     assert np.all(np.abs(np.linalg.norm(bpts, axis=1) - 1.0) <= 1e-12)
     # no two functionals are identical
-    seen = {(f.kind, f.point) for f in fset.entries}
+    seen = {(f.kind, f.point) for f in fset}
     assert len(seen) == len(fset)
 
 
@@ -234,20 +223,20 @@ def test_disk_functional_set_constructs_no_functional(monkeypatch):
 @pytest.mark.parametrize("n_domain, n_boundary", [(2000, 120), (17570, 150)])
 def test_array_set_equals_list_built_set(n_domain, n_boundary):
     geometry = disk_candidates(n_domain, n_boundary)
-    fset = disk_functional_set(geometry, domain_weight=0.7, boundary_weight=1.3)
+    fset = disk_functional_set(geometry)
     nd = len(geometry.domain_points)
-    listed = [domain_op_delta(p, i, 0.7) for i, p in enumerate(geometry.domain_points)]
-    listed += [boundary_delta(p, nd + i, 1.3)
+    listed = [domain_op_delta(p, i) for i, p in enumerate(geometry.domain_points)]
+    listed += [boundary_delta(p, nd + i)
                for i, p in enumerate(geometry.boundary_points)]
     ref = FunctionalSet(listed)
-    for name in ("points", "domain_mask", "weights", "boundary_indices"):
+    for name in ("points", "domain_mask", "boundary_indices"):
         got, want = getattr(fset, name), getattr(ref, name)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
     assert fset.counts == ref.counts == (nd, n_boundary)
     for i in (0, nd - 1, nd, -1):
-        assert fset[i] == fset.entries[i] == listed[i]
-    assert fset[nd - 2: nd + 2] == fset.entries[nd - 2: nd + 2] == listed[nd - 2: nd + 2]
+        assert fset[i] == listed[i]
+    assert fset[nd - 2: nd + 2] == listed[nd - 2: nd + 2]
     for bad in (len(fset), -len(fset) - 1):
         with pytest.raises(IndexError):
             fset[bad]
@@ -323,7 +312,7 @@ def test_data_vector_matches_scalar_application(rng):
     u = GaussianBump(center=(0.1, 0.2), shape=1.0)
     idx = rng.choice(len(fset), size=20, replace=False)
     vec = data_vector(fset, idx, u)
-    expected = np.array([apply_to_solution(fset.entries[i], u) for i in idx])
+    expected = np.array([apply_to_solution(fset[i], u) for i in idx])
     assert np.allclose(vec, expected, rtol=1e-14)
 
 

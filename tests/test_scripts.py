@@ -1,6 +1,9 @@
 import os
+import re
 import subprocess
 import sys
+
+import numpy as np
 
 import greedypde
 
@@ -9,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_desk_experiments_script_runs(tmp_path):
     # the battery builds, solves and re-reads bases through the library
-    # (cmd_build, cmd_solve, restore_state, basis_on_grid, the rho column)
+    # (cmd_build, cmd_solve, load_basis, basis_on_grid, the rho column)
     src = os.path.dirname(os.path.dirname(greedypde.__file__))
     out = tmp_path / "exp"
     child = subprocess.run(
@@ -21,3 +24,15 @@ def test_desk_experiments_script_runs(tmp_path):
     assert sorted(os.listdir(out)) == [
         "build_m4", "build_m4_extended", "build_m5", "build_m6",
         "solve_gaussian", "solve_powercusp"]
+
+
+def test_readme_library_example_runs():
+    # the README's python block, run as written, against the public signatures
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    assert len(blocks) == 1
+    scope = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    u_approx, grid = scope["u_approx"], scope["grid"]
+    assert u_approx.shape == (len(grid.points),)
+    assert np.isfinite(u_approx).all()

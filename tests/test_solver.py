@@ -44,7 +44,7 @@ def test_single_step_basis_is_normalized_representer(small_run):
     extend(state, pick)
     pts = grid_points()
     basis = evaluate_basis(state, pts)
-    f = fset.entries[pick]
+    f = fset[pick]
     expected = riesz_value(f, pts, spec) / np.sqrt(dual_inner(f, f, spec))
     assert np.allclose(basis.values[0], expected, rtol=1e-12, atol=1e-12)
 
@@ -52,7 +52,7 @@ def test_single_step_basis_is_normalized_representer(small_run):
 def test_basis_rows_are_dual_orthonormal(small_run):
     state, fset, spec = small_run["state"], small_run["fset"], small_run["spec"]
     # applying mu_j to v_{mu_k} gives (mu_j, mu_k) = C A C^T
-    A = gram([fset.entries[i] for i in state.selected[:50]], spec)
+    A = gram([fset[i] for i in state.selected[:50]], spec)
     C = state.c_matrix()[:50, :50]
     assert np.abs(C @ A @ C.T - np.eye(50)).max() <= 1e-8
 
@@ -92,8 +92,8 @@ def test_power_matches_direct_gram_formula(small_run):
     pts = grid_points(80)
     basis = evaluate_basis(state, pts)
     mine = power_on_deltas(state, basis)
-    A = gram([fset.entries[i] for i in state.selected], spec)
-    B = np.array([riesz_value(fset.entries[i], pts, spec) for i in state.selected])
+    A = gram([fset[i] for i in state.selected], spec)
+    B = np.array([riesz_value(fset[i], pts, spec) for i in state.selected])
     kxx = kernel_value(spec, np.zeros(2), np.zeros(2))
     direct = kxx - np.einsum("ip,ip->p", B, np.linalg.solve(A, B))
     assert np.abs(mine - direct).max() <= 1e-8
@@ -107,7 +107,7 @@ def test_data_to_newton_single_step(small_run):
     fset, spec = small_run["fset"], small_run["spec"]
     state = init(fset, spec)
     extend(state, select_standard(state))
-    f = fset.entries[state.selected[0]]
+    f = fset[state.selected[0]]
     data = np.array([3.2])
     mu = data_to_newton(state, data)
     assert mu[0] == pytest.approx(3.2 / np.sqrt(dual_inner(f, f, spec)), rel=1e-13)
@@ -147,7 +147,7 @@ def test_projection_reproduces_own_representer(small_run):
     fset, spec = small_run["fset"], small_run["spec"]
     state = init(fset, spec)
     extend(state, select_standard(state))
-    f = fset.entries[state.selected[0]]
+    f = fset[state.selected[0]]
     # u = v_{lam_1}: its data on lam_1 is (lam_1, lam_1)
     data = np.array([dual_inner(f, f, spec)])
     mu = data_to_newton(state, data)
@@ -162,14 +162,14 @@ def test_data_reproduction_via_dual_inner_sums(small_run):
     u = GaussianBump(center=(-np.pi / 10, 0.0))
     data = data_vector(fset, state.selected, u)
     mu = data_to_newton(state, data)
-    A = gram([fset.entries[i] for i in state.selected], spec)
+    A = gram([fset[i] for i in state.selected], spec)
     recovered = A @ state.c_matrix().T @ mu  # lam_k(u~) = sum_j mu_j (lam_k, mu_j)
     assert np.abs(recovered - data).max() <= 1e-6 * np.abs(data).max()
 
 
 def test_direct_collocation_single_step(small_run):
     fset, spec = small_run["fset"], small_run["spec"]
-    f = fset.entries[0]
+    f = fset[0]
     data = np.array([2.0])
     pts = grid_points(20)
     vals = direct_collocation_solve(fset, [0], data, spec, pts)
@@ -198,7 +198,7 @@ def test_pythagoras_for_span_member(small_run):
     rng = np.random.default_rng(5)
     span = state.selected[:50]
     beta = rng.standard_normal(50)
-    A50 = gram([fset.entries[i] for i in span], spec)
+    A50 = gram([fset[i] for i in span], spec)
     norm_u_sq = beta @ A50 @ beta
     data30 = (A50 @ beta)[:30]  # lam_k(u) for the first 30 selected
     sub = init(fset, spec)
@@ -207,7 +207,7 @@ def test_pythagoras_for_span_member(small_run):
     mu = data_to_newton(sub, data30)
     norm_proj_sq = float(mu @ mu)
     # (u, u~) from explicit Grams; orthogonality makes it equal ||u~||^2
-    cross = gram([fset.entries[i] for i in span], spec)[:, :30]
+    cross = gram([fset[i] for i in span], spec)[:, :30]
     u_dot_proj = beta @ cross @ sub.c_matrix().T @ mu
     err_sq = norm_u_sq - 2 * u_dot_proj + norm_proj_sq
     assert norm_u_sq == pytest.approx(err_sq + norm_proj_sq, rel=1e-8)
@@ -217,10 +217,10 @@ def test_pythagoras_for_span_member(small_run):
 def test_error_bound_validity(small_run):
     state, fset, spec = small_run["state"], small_run["fset"], small_run["spec"]
     # u = v_lam / ||lam|| has unit Hilbert norm
-    lam = fset.entries[37]
+    lam = fset[37]
     norm = np.sqrt(dual_inner(lam, lam, spec))
     data = np.array([
-        dual_inner(fset.entries[i], lam, spec) for i in state.selected
+        dual_inner(fset[i], lam, spec) for i in state.selected
     ]) / norm
     mu = data_to_newton(state, data)
     pts = grid_points(100)
