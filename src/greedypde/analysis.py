@@ -1,9 +1,10 @@
 """Trace post-processing: log-log rate fits, triangular condition estimates
 and singular-value decay of basis-value matrices.
 
-scipy.linalg loads inside the condition estimate and singular_values, which
-a build calls at every step; `report` needs only fit_rate, so it runs
-without SciPy.
+scipy.linalg loads inside the condition estimate, which a build calls at
+every step, and inside singular_values, which only
+scripts/run_desk_experiments.py calls; `report` needs only fit_rate, so it
+runs without SciPy.
 """
 
 from __future__ import annotations

@@ -26,20 +26,34 @@ distinct radius once and reuse the value.
 
 One Bessel stack serves every evaluator (`_phi_terms`).  For integer nu
 (every even d, so the shipped d = 2) the orders |nu - k| are integers, and
-the stack takes K_0 = kv(0, t) and K_1 = kv(1, t) and climbs with the upward
+the stack takes K_0 and K_1 from a seed pair and climbs with the upward
 recurrence K_{n+1} = K_{n-1} + (2n/t) K_n (DLMF 10.29.1; stable upward for
-K).  The factor 2n/t is accumulated as rz, rz + rz, ... with rz = 2/t.  That
-is the arithmetic of the AMOS routine behind scipy's kv, which computes K_n
-from the same two seeds the same way, so every stack entry equals kv(n, t)
-bit for bit and the evaluators return exactly what per-order kv calls
-return (tests/test_kernels.py holds them to that).  Forming 2n/t or n*(2/t)
-directly rounds differently: from K_4 on it is an ulp off for about a fifth
-of the radii.  Above t = 600, where kv rescales against underflow, the
-orders above 1 are taken from kv again.  A Laplacian or bilaplacian thus
-costs two kv calls whatever nu is.  Non-integer orders (odd d) and
-single-order requests such as kernel_value call kv once per order.
+K).  The factor 2n/t is accumulated as rz, rz + rz, ... with rz = 2/t.
+Above t = 600, where kv rescales against underflow, every order is taken
+from kv instead.  Non-integer orders (odd d) call kv once per order.  Two
+seed pairs serve two kinds of value:
 
-SciPy loads on the first kv call, not when this module is imported: a
+- Dual inner products (the point forms, and the radial forms by default)
+  seed with AMOS kv(0, t) and kv(1, t).  The recurrence above is the
+  arithmetic of the AMOS routine behind scipy's kv, which computes K_n from
+  the same two seeds the same way, so every stack entry equals kv(n, t) bit
+  for bit and these evaluators return exactly what per-order kv calls
+  return (tests/test_kernels.py holds them to that).  Forming 2n/t
+  or n*(2/t) directly rounds differently: from K_4 on it is an ulp off for
+  about a fifth of the radii.  A Laplacian or bilaplacian costs two kv
+  calls; a kernel value costs one, kv(nu, t).  These values fill the Gram
+  columns, where mirror-symmetric candidates tie in residual power and the
+  last bit settles the pick, so their bits are kept.
+- Representer rows (functionals.riesz_value: the grid tracker's rows and
+  the basis values) seed with Cephes k0(t) and k1(t) (`cephes=True`), and
+  the kernel row climbs the stack as well: each seed costs about 60 ns a
+  radius against about 200 ns for a kv call.  Cephes is slightly more
+  accurate than kv against 40-digit mpmath, and the rows agree with the
+  kv-seeded values to roundoff, not bit for bit.  No standard-mode pick
+  reads them; the extended rule compares their grid powers with the
+  candidates' residual powers.
+
+SciPy loads on the first Bessel call, not when this module is imported: a
 `solve` from stored grid rows evaluates the kernel only at t = 0 (for
 K(x, x)), where the analytic limit needs no Bessel function, so it and
 `report` run on numpy alone.
@@ -108,10 +122,23 @@ class RadialStack:
 def kv(order, t):
     """scipy.special.kv(order, t); SciPy loads on the first call.
 
-    Looked up as a module global at every call, so a test can count calls.
+    Looked up as a module global at every call, so a test can count calls;
+    k0 and k1 likewise.
     """
     from scipy.special import kv as scipy_kv
     return scipy_kv(order, t)
+
+
+def k0(t):
+    """scipy.special.k0(t), Cephes's K_0."""
+    from scipy.special import k0 as scipy_k0
+    return scipy_k0(t)
+
+
+def k1(t):
+    """scipy.special.k1(t), Cephes's K_1."""
+    from scipy.special import k1 as scipy_k1
+    return scipy_k1(t)
 
 
 def bessel_k(order: float, r):
@@ -135,23 +162,26 @@ def _phi_limit(mu: float) -> float:
     return 2.0 ** (mu - 1.0) * math.gamma(mu)
 
 
-def _bessel_orders(orders, t: np.ndarray) -> list[np.ndarray]:
+def _bessel_orders(orders, t: np.ndarray, cephes: bool = False) -> list[np.ndarray]:
     """[K_o(t) for o in orders], for orders o >= 0 and t > 0.
 
-    A single distinct order, or any non-integer order, is one kv call per
-    order.  Otherwise K_0 and K_1 come from kv and the higher orders from
-    the recurrence K_{n+1} = ck K_n + K_{n-1} with ck accumulated as
-    rz, rz + rz, ... (rz = 2/t): kv's own arithmetic, so each value equals
+    Any non-integer order is one kv call per order, and so is a single
+    distinct order under kv seeds (kv computes it from those seeds itself).
+    Otherwise K_0 and K_1 come from kv, or from Cephes k0 and k1 when
+    `cephes` is set, and the higher orders from the recurrence
+    K_{n+1} = ck K_n + K_{n-1} with ck accumulated as rz, rz + rz, ...
+    (rz = 2/t): kv's own arithmetic, so from kv seeds each value equals
     kv(n, t) bit for bit.  Above _RECURRENCE_MAX, a margin below where kv
-    starts rescaling against underflow, orders above 1 come from kv again.
-    An empty t (every radius below _LIMIT_RADIUS) makes no kv call.
+    starts rescaling against underflow, every order comes from kv.  An
+    empty t (every radius below _LIMIT_RADIUS) makes no call.
     """
     if t.size == 0:
         return [t.copy() for _ in orders]
-    if len(set(orders)) == 1 or not all(float(o).is_integer() for o in orders):
+    if not all(float(o).is_integer() for o in orders) or (
+            not cephes and len(set(orders)) == 1):
         return [kv(o, t) for o in orders]
     top = int(max(orders))
-    stack = [kv(0, t), kv(1, t)]
+    stack = [k0(t), k1(t)] if cephes else [kv(0, t), kv(1, t)]
     rz = 2.0 / t
     ck = rz
     for _ in range(top - 1):
@@ -159,14 +189,15 @@ def _bessel_orders(orders, t: np.ndarray) -> list[np.ndarray]:
         ck = ck + rz
     far = t > _RECURRENCE_MAX
     if far.any():
-        for n in range(2, top + 1):
+        for n in range(top + 1):
             stack[n][far] = kv(n, t[far])
     return [stack[int(o)] for o in orders]
 
 
-def _phi_terms(t: np.ndarray, terms) -> list[np.ndarray]:
+def _phi_terms(t: np.ndarray, terms, cephes: bool = False) -> list[np.ndarray]:
     """[t^power phi_mu(t) for (power, mu) in terms], elementwise over t >= 0,
-    with every K_|mu| taken from one _bessel_orders call.
+    with every K_|mu| taken from one _bessel_orders call (Cephes seeds when
+    `cephes` is set).
 
     Below _LIMIT_RADIUS a term takes its t -> 0 limit: 0 when power > 0
     (every Laplacian term has power + 2 min(mu, 0) > 0, so the prefactor
@@ -174,7 +205,7 @@ def _phi_terms(t: np.ndarray, terms) -> list[np.ndarray]:
     """
     big = t >= _LIMIT_RADIUS
     tt = t[big]
-    bessel = _bessel_orders([abs(mu) for _, mu in terms], tt)
+    bessel = _bessel_orders([abs(mu) for _, mu in terms], tt, cephes)
     out = []
     for (power, mu), k in zip(terms, bessel):
         v = np.empty_like(t)
@@ -225,18 +256,20 @@ def radial_stack(spec: KernelSpec, r: float) -> RadialStack:
     return RadialStack(radius=t, orders=orders, values=values, singular=singular)
 
 
-def radial_kernel(spec: KernelSpec, t):
-    """phi_nu(t), the kernel at scaled radius t = ||x - y|| / scale."""
+def radial_kernel(spec: KernelSpec, t, *, cephes: bool = False):
+    """phi_nu(t), the kernel at scaled radius t = ||x - y|| / scale; the
+    Bessel stack is seeded with Cephes k0/k1 when `cephes` is set, else
+    with kv."""
     t = np.asarray(t, dtype=float)
-    (v,) = _phi_terms(np.atleast_1d(t), [(0, spec.nu)])
+    (v,) = _phi_terms(np.atleast_1d(t), [(0, spec.nu)], cephes)
     return float(v[0]) if t.ndim == 0 else v
 
 
-def radial_laplacian(spec: KernelSpec, t):
-    """Delta_y K at scaled radius t."""
+def radial_laplacian(spec: KernelSpec, t, *, cephes: bool = False):
+    """Delta_y K at scaled radius t, seeded as in radial_kernel."""
     t = np.asarray(t, dtype=float)
     nu, d = spec.nu, spec.d
-    a, b = _phi_terms(np.atleast_1d(t), [(2, nu - 2), (0, nu - 1)])
+    a, b = _phi_terms(np.atleast_1d(t), [(2, nu - 2), (0, nu - 1)], cephes)
     v = (a - d * b) / spec.scale**2
     return float(v[0]) if t.ndim == 0 else v
 

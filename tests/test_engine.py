@@ -205,6 +205,22 @@ def test_run_determinism():
     assert np.array_equal(t1.cond_c, t2.cond_c)
 
 
+@pytest.mark.parametrize("m", [4, 6])
+def test_standard_selection_ignores_the_evaluation_grid(m):
+    # the grid rows feed rho and the grid powers only: the standard picks, C,
+    # sigma and cond_C come from the candidate columns, bit for bit
+    geometry = disk_candidates(300, 24)
+    fset = disk_functional_set(geometry)
+    spec = KernelSpec(m=m, d=2)
+    s1, t1 = run(fset, spec, n_max=60, eval_grid=evaluation_grid(geometry, 0.1))
+    s2, t2 = run(fset, spec, n_max=60)
+    assert s1.selected == s2.selected
+    assert np.array_equal(s1.c_matrix(), s2.c_matrix())
+    assert np.array_equal(t1.sigma, t2.sigma)
+    assert np.array_equal(t1.cond_c, t2.cond_c)
+    assert np.isfinite(t1.rho).all() and np.isnan(t2.rho).all()
+
+
 @pytest.mark.parametrize("mode", ["standard", "extended"])
 @pytest.mark.parametrize("m", [4, 6])
 def test_cond_c_column_equals_condition_estimate_of_each_block(m, mode):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpstrf
-from scipy.special import kv
+from scipy.special import k0, k1, kv
 
 from greedypde import kernels
 from greedypde.kernels import (
@@ -20,7 +20,12 @@ from greedypde.kernels import (
     scaled_distance,
 )
 from greedypde.engine import init
-from greedypde.functionals import disk_functional_set
+from greedypde.functionals import (
+    boundary_delta,
+    disk_functional_set,
+    domain_op_delta,
+    riesz_value,
+)
 from greedypde.geometry import disk_candidates
 from greedypde.solver import BasisEvaluation, power_on_deltas
 
@@ -222,6 +227,129 @@ def test_kv_calls_per_evaluation(monkeypatch, rng, m):
         calls.clear()
         fn(spec, x, y)
         assert 1 <= len(calls) <= most, (fn.__name__, calls)
+
+
+# ---------------------------------------------------------------------------
+# the representer rows' stack, seeded with Cephes k0/k1
+
+
+def representer_rows(spec, x, centre):
+    """riesz_value of a boundary delta and an operator delta at `centre`,
+    over the points x."""
+    return (riesz_value(boundary_delta(centre, 0), x, spec),
+            riesz_value(domain_op_delta(centre, 1), x, spec))
+
+
+def _cephes_recurrence(top, t):
+    """K_0..K_top on t > 0: k0/k1 seeds climbed by K_{n+1} = ck K_n + K_{n-1}
+    with ck accumulated as rz, rz + rz, ...; per-order kv above t = 600."""
+    ks = [k0(t), k1(t)]
+    rz = 2.0 / t
+    ck = rz
+    for _ in range(top - 1):
+        ks.append(ck * ks[-1] + ks[-2])
+        ck = ck + rz
+    far = t > 600.0
+    for n, k in enumerate(ks):
+        k[far] = kv(n, t[far])
+    return ks
+
+
+@given(m=st.integers(min_value=4, max_value=9),
+       scale=st.sampled_from([0.05, 1.0, 3.0]),
+       radii=st.lists(st.floats(min_value=1e-8, max_value=50.0), max_size=20),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+# t past the switch to kv at 600, and t around the limit radius
+@example(m=9, scale=0.05, radii=[30.5, 33.0, 34.0], seed=0)
+@example(m=4, scale=3.0, radii=[1e-8, 2.9e-8, 3.1e-8], seed=1)
+def test_representer_rows_equal_cephes_recurrence_exactly(m, scale, radii, seed):
+    spec = KernelSpec(m=m, d=2, scale=scale)
+    rng = np.random.default_rng(seed)
+    spread = np.exp(rng.uniform(math.log(1e-8), math.log(50.0), 200))
+    r = np.concatenate([[0.0], radii, spread])  # t = 0 takes the analytic limits
+    theta = rng.uniform(0, 2 * math.pi, len(r))
+    centre = rng.uniform(-1, 1, 2)
+    x = centre + r[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+    t = scaled_distance(spec, x, centre)
+    big = t >= 1e-8
+    tt = t[big]
+    nu = spec.nu
+    ks = _cephes_recurrence(m - 1, tt)
+    value = np.full_like(t, 2.0 ** (nu - 1) * math.gamma(nu))
+    value[big] = tt**nu * ks[m - 1]
+    a = np.zeros_like(t)
+    a[big] = tt ** (2 + nu - 2) * ks[m - 3]
+    b = np.full_like(t, 2.0 ** (nu - 2) * math.gamma(nu - 1))
+    b[big] = tt ** (nu - 1) * ks[m - 2]
+    lap = (a - 2 * b) / scale**2
+    got_value, got_lap = representer_rows(spec, x, centre)
+    assert np.array_equal(got_value, value)
+    assert np.array_equal(got_lap, lap)
+
+
+def test_representer_rows_match_mpmath():
+    """Against 40-digit mpmath for m = 4..9: the kernel row within 2e-15
+    relative, the Laplacian row within 2e-15 of |t^2 phi_{nu-2}| +
+    d |phi_{nu-1}| (its terms' magnitudes, which cancel near the sign
+    change), on log-uniform radii and a few past the t = 600 switch to kv."""
+    import mpmath
+
+    rng = np.random.default_rng(14)
+    worst_value = worst_lap = 0.0
+    with mpmath.workdps(40):
+        for scale in (0.05, 1.0, 3.0):
+            t_draw = np.concatenate([np.exp(rng.uniform(math.log(1e-6), math.log(600.0), 20)),
+                                     rng.uniform(600.0, 660.0, 3)])
+            theta = rng.uniform(0, 2 * math.pi, len(t_draw))
+            x = scale * t_draw[:, None] * np.column_stack([np.cos(theta), np.sin(theta)])
+            centre = np.zeros(2)
+            t = scaled_distance(KernelSpec(m=4, d=2, scale=scale), x, centre)
+            # K_0..K_8 at each t: mpmath seeds climbed in 40 digits (upward
+            # recurrence is stable for K)
+            exact = []
+            for tv in t:
+                tm = mpmath.mpf(float(tv))
+                ks = [mpmath.besselk(0, tm), mpmath.besselk(1, tm)]
+                for n in range(1, 8):
+                    ks.append(ks[n - 1] + 2 * n / tm * ks[n])
+                exact.append((tm, ks))
+            for m in range(4, 10):
+                spec = KernelSpec(m=m, d=2, scale=scale)
+                nu = m - 1
+                got_value, got_lap = representer_rows(spec, x, centre)
+                for (tm, ks), v, lap in zip(exact, got_value, got_lap):
+                    phi = [tm**mu * ks[mu] for mu in range(nu + 1)]
+                    want = phi[nu]
+                    worst_value = max(worst_value, float(abs(v - want) / want))
+                    a, b = tm**2 * phi[nu - 2], 2 * phi[nu - 1]
+                    err = abs(lap * scale**2 - (a - b)) / (abs(a) + abs(b))
+                    worst_lap = max(worst_lap, float(err))
+    assert worst_value <= 2e-15
+    assert worst_lap <= 2e-15
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_representer_row_seeds_with_k0_and_k1_only(monkeypatch, rng, m):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "kv", counting("kv", kv))
+    monkeypatch.setattr(kernels, "k0", counting("k0", k0))
+    monkeypatch.setattr(kernels, "k1", counting("k1", k1))
+    for scale in (0.05, 1.0):
+        spec = KernelSpec(m=m, d=2, scale=scale)
+        # radii up to nearly 600 scale, and the centre itself (t = 0)
+        x = np.concatenate([rng.uniform(-1, 1, size=(200, 2)), [[0.0, 599.0 * scale]],
+                            np.zeros((1, 2))])
+        for f in (boundary_delta((0.0, 0.0), 0), domain_op_delta((0.0, 0.0), 1)):
+            assert np.all(np.isfinite(riesz_value(f, x, spec)))
+            assert sorted(calls) == ["k0", "k1"]
+            calls.clear()
 
 
 @pytest.mark.parametrize("m", [4, 6])
