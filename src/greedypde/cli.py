@@ -32,7 +32,7 @@ from .functionals import (
     write_functionals,
 )
 from .geometry import disk_candidates, evaluation_grid
-from .kernels import KernelSpec
+from .kernels import KernelSpec, kernel_value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -74,15 +74,22 @@ def _output_dir(out_dir: str):
     os.replace(tmp, out_dir)
 
 
-def _read_artifact(reader, path: str, *args):
-    """reader(path, *args), with a file that cannot be read or is malformed
-    reported as a ConfigError that names it."""
+@contextlib.contextmanager
+def _naming(path: str):
+    """Report a file that cannot be read or is malformed as a ConfigError
+    that names it."""
     try:
-        return reader(path, *args)
-    except OSError as exc:  # the file the system names may be one of args
+        yield
+    except OSError as exc:  # the file the system names may be another one
         raise ConfigError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _read_artifact(reader, path: str, *args):
+    """reader(path, *args), with errors reported as _naming does."""
+    with _naming(path):
+        return reader(path, *args)
 
 
 def _read_c_matrix(path: str) -> np.ndarray:
@@ -98,15 +105,21 @@ def _read_c_matrix(path: str) -> np.ndarray:
     return cmat
 
 
-def basis_on_grid(basis_dir: str, state: GreedyState,
-                  points: np.ndarray) -> solver.BasisEvaluation:
-    """The stored basis on the points.
+def _stored_row_blocks(rows_path: str, crc_path: str, shape, blocks):
+    with _naming(rows_path):
+        yield from runio.read_grid_row_blocks(rows_path, crc_path, shape, blocks)
+
+
+def _grid_row_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
+    """(blocks, source): the raw representer rows on the points as
+    (J, raw[:, J]) per block J of solver.grid_blocks, and a name for where
+    they come from.
 
     When the basis directory holds gridrows.npy with its checksum
     gridrows.crc32, and its build grid (the x1,x2 columns of powergrid.csv)
-    is exactly these points, the values are C times the raw representer rows
-    `build` stored, and no kernel is evaluated; otherwise they come from
-    `evaluate_basis`.
+    is exactly these points, the rows are read from the file block by block,
+    and no kernel is evaluated; otherwise solver.representer_blocks computes
+    them.
     """
     rows_path = os.path.join(basis_dir, "gridrows.npy")
     crc_path = os.path.join(basis_dir, "gridrows.crc32")
@@ -115,13 +128,20 @@ def basis_on_grid(basis_dir: str, state: GreedyState,
                                   os.path.join(basis_dir, "powergrid.csv"))
         stored = table[:, :2]
         if stored.shape == points.shape and stored.tobytes() == points.tobytes():
-            raw = _read_artifact(runio.read_grid_rows, rows_path, crc_path)
-            if raw.shape != (state.n, len(points)):
-                raise ConfigError(f"{rows_path}: shape {raw.shape} does not match "
-                                  f"the {state.n} functionals of selected.txt on "
-                                  f"{len(points)} grid points")
-            return solver.BasisEvaluation(points=points, values=state.c_matrix() @ raw)
-    return solver.evaluate_basis(state, points)
+            blocks = _stored_row_blocks(rows_path, crc_path, (state.n, len(points)),
+                                        solver.grid_blocks(len(points)))
+            return blocks, rows_path
+    selected_path = os.path.join(basis_dir, "selected.txt")
+    return (solver.representer_blocks(state, points),
+            f"the representer rows of {selected_path}")
+
+
+def basis_on_grid(basis_dir: str, state: GreedyState,
+                  points: np.ndarray) -> solver.BasisEvaluation:
+    """The stored basis on the points, as one N x P array: C times the raw
+    representer rows, stored by `build` or computed (see _grid_row_blocks)."""
+    blocks, _ = _grid_row_blocks(basis_dir, state, points)
+    return solver.evaluate_basis(state, points, blocks)
 
 
 def _problem(cfg: RunConfig):
@@ -235,6 +255,25 @@ def load_basis(basis_dir: str, cfg: RunConfig) -> GreedyState:
     return restore_state(fset, cmat, spec)
 
 
+# An orthonormal basis keeps K(x,x) - sum_k v_k(x)^2 above -3.2e-15 K(0) on
+# the benchmark's three bases; an edit of C that matters drives it far lower
+# (one unit moved in one entry of a desk-scale C: -2 K(0)).
+_POWER_TOL = 1e-10
+
+
+def _check_power(p2: np.ndarray, spec: KernelSpec, points: np.ndarray,
+                 cmat_path: str, source: str) -> None:
+    """Raise NumericalError, naming C and the rows' source, when the unclamped
+    P^2(delta_x) on the grid shows a basis that is not orthonormal."""
+    kxx = kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d))
+    k = int(np.argmin(p2))
+    if p2[k] < -_POWER_TOL * kxx:
+        raise NumericalError(
+            f"{cmat_path} and {source} do not form an orthonormal basis: "
+            f"K(x,x) - sum_k v_k(x)^2 is {p2[k] / kxx:.3g} K(0) at x = "
+            f"{tuple(float(v) for v in points[k])}, below -{_POWER_TOL:g} K(0)")
+
+
 def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
     with _output_dir(out_dir) as tmp:
         state = load_basis(basis_dir, cfg)
@@ -244,18 +283,31 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
         grid = evaluation_grid(geometry, cfg.grid_spacing)
         data = data_vector(state.fset, range(state.n), problem)
         mu = solver.data_to_newton(state, data)
-        basis = basis_on_grid(basis_dir, state, grid.points)
-        p_delta = np.sqrt(solver.power_on_deltas(state, basis))
         u_true = problem.value(grid.points)
 
-        # The basis values become the partial sums and then their errors in
-        # place, so no N x P array is held beside them.
-        partial = basis.values
-        partial *= mu[:, None]
-        np.cumsum(partial, axis=0, out=partial)
-        u_approx = partial[-1].copy()
-        np.subtract(u_true, partial, out=partial)
-        errors = np.abs(partial, out=partial).max(axis=1)
+        # One block of grid points at a time: its basis values become its
+        # partial sums and then their errors in place, and only per-point
+        # results and the running maximum error per N are kept.  The values
+        # of every block share one buffer, and the raw rows, no longer needed
+        # once multiplied, take the squares, so a solve holds two blocks
+        # beside O(N^2 + P) arrays and faults their pages in once.
+        blocks, source = _grid_row_blocks(basis_dir, state, grid.points)
+        c = state.c_matrix()
+        p2 = np.empty(len(grid.points))
+        u_approx = np.empty(len(grid.points))
+        errors = np.zeros(state.n)
+        flat = np.empty(state.n * min(len(grid.points), 2 * solver.BLOCK - 1))
+        for j, raw in blocks:
+            values = np.matmul(c, raw, out=flat[: raw.size].reshape(raw.shape))
+            p2[j] = solver.unclamped_power(state.spec, values, scratch=raw)
+            values *= mu[:, None]
+            np.cumsum(values, axis=0, out=values)
+            u_approx[j] = values[-1]
+            np.subtract(u_true[j], values, out=values)
+            np.maximum(errors, np.abs(values, out=values).max(axis=1), out=errors)
+        _check_power(p2, state.spec, grid.points,
+                     os.path.join(basis_dir, "cmatrix.csv"), source)
+        p_delta = np.sqrt(np.maximum(p2, 0.0))
         if not errors[0] > 0.0:
             raise ConfigError(
                 f"problem: the error at N=1 is {errors[0]!r} on the evaluation grid, "

@@ -130,14 +130,7 @@ def write_grid_rows(path, checksum_path, rows: np.ndarray) -> None:
         fh.write(f"{_file_crc32(path)}\n")
 
 
-def read_grid_rows(path, checksum_path) -> np.ndarray:
-    """A 2-D, finite float64 array from a file whose CRC-32 is the one in
-    checksum_path; anything else raises ValueError.
-
-    The checksum covers the header as well as the data, since np.load reads
-    some altered headers (other padding whitespace, another spelling of the
-    byte order) as the original.
-    """
+def _check_crc32(path, checksum_path) -> None:
     with open(checksum_path, "rb") as fh:
         text = fh.read()
     try:
@@ -147,17 +140,58 @@ def read_grid_rows(path, checksum_path) -> np.ndarray:
     actual = _file_crc32(path)
     if actual != expected:
         raise ValueError(f"CRC-32 is {actual}, but {checksum_path} records {expected}")
+
+
+def _read_npy_header(fh) -> tuple:
+    """(shape, fortran_order, dtype) of the .npy file at fh's start; leaves
+    fh at the first data byte."""
     try:
-        rows = np.load(path, allow_pickle=False)
-    except EOFError as exc:
-        raise ValueError(f"truncated array file: {exc}") from exc
+        version = np.lib.format.read_magic(fh)
+        if version == (1, 0):
+            return np.lib.format.read_array_header_1_0(fh)
+        if version == (2, 0):
+            return np.lib.format.read_array_header_2_0(fh)
     except tokenize.TokenError as exc:  # from numpy's fallback header parser
         raise ValueError(f"unreadable array header: {exc}") from exc
-    if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.dtype != np.float64:
-        raise ValueError("expected a 2-D float64 array")
-    if not np.isfinite(rows).all():
-        raise ValueError("grid rows have a non-finite entry")
-    return rows
+    raise ValueError(f"unsupported .npy format version {version}")
+
+
+def read_grid_row_blocks(path, checksum_path, shape, blocks):
+    """Yield (J, rows[:, J]) for each column slice J of blocks, in order, from
+    a file whose CRC-32 is the one in checksum_path and that holds a 2-D,
+    C-ordered float64 array of the given shape.
+
+    Each block is read as one segment per row into one buffer, which the next
+    block overwrites: the caller may use a block, as scratch too, until it
+    asks for the next.  Anything else raises ValueError: a bad checksum or
+    header before the first block, a truncated file or a non-finite entry
+    when the block that holds it is reached.
+
+    The checksum covers the header as well as the data, since numpy's header
+    parser reads some altered headers (other padding whitespace, another
+    spelling of the byte order) as the original.
+    """
+    _check_crc32(path, checksum_path)
+    with open(path, "rb", buffering=0) as fh:
+        stored, fortran_order, dtype = _read_npy_header(fh)
+        if len(stored) != 2 or fortran_order or dtype != np.float64:
+            raise ValueError("expected a 2-D, C-ordered float64 array")
+        if stored != tuple(shape):
+            raise ValueError(f"shape {stored}, expected {tuple(shape)}")
+        n_rows, n_cols = shape
+        data_start = fh.tell()
+        flat = np.empty(n_rows * max(j.stop - j.start for j in blocks))
+        for j in blocks:
+            block = flat[: n_rows * (j.stop - j.start)].reshape(n_rows, j.stop - j.start)
+            for k, row in enumerate(block):
+                fh.seek(data_start + 8 * (k * n_cols + j.start))
+                if fh.readinto(row) != row.nbytes:
+                    raise ValueError(f"truncated array file: row {k} ends before "
+                                     f"column {j.stop}")
+            if not np.isfinite(block).all():
+                raise ValueError("grid rows have a non-finite entry in columns "
+                                 f"[{j.start}, {j.stop})")
+            yield j, block
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ solve from stored grid rows runs on numpy alone.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,24 +38,62 @@ class ProjectionSolution:
     newton_coefficients: np.ndarray
 
 
-def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:
-    """All basis functions on the points, as the C-weighted combination of
-    raw representer values."""
+# The grid is taken in blocks that start at multiples of BLOCK, the remainder
+# folded into the last block (BLOCK to 2 BLOCK - 1 points wide).  For such
+# blocks OpenBLAS gives C @ raw[:, J] the bits of the same columns of the
+# one-product C @ raw; blocks that start elsewhere, or a narrower last block,
+# can differ in the last bit.
+BLOCK = 512
+
+
+def grid_blocks(n_points: int) -> list[slice]:
+    """The column blocks of a grid of n_points, in order."""
+    starts = [k * BLOCK for k in range(max(n_points // BLOCK, 1))]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_points])]
+
+
+def representer_blocks(state: GreedyState, points) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (J, raw[:, J]) for each block J of the points (grid_blocks): the
+    representer rows riesz_row(f, points[J]) of the selected functionals,
+    from which the basis values on the block are C @ raw[:, J].  Every block
+    is a view of one buffer: the caller may use it, as scratch too, until it
+    asks for the next block, which overwrites it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if state.n == 0:
-        return BasisEvaluation(points=pts, values=np.zeros((0, len(pts))))
-    raw = np.empty((state.n, len(pts)))
-    for k, i in enumerate(state.selected):
-        raw[k] = riesz_row(state.fset[i], pts, state.spec)
-    return BasisEvaluation(points=pts, values=state.c_matrix() @ raw)
+    blocks = grid_blocks(len(pts))
+    flat = np.empty(state.n * max(j.stop - j.start for j in blocks))
+    for j in blocks:
+        raw = flat[: state.n * (j.stop - j.start)].reshape(state.n, j.stop - j.start)
+        for k, i in enumerate(state.selected):
+            raw[k] = riesz_row(state.fset[i], pts[j], state.spec)
+        yield j, raw
+
+
+def evaluate_basis(state: GreedyState, points, raw_blocks=None) -> BasisEvaluation:
+    """All basis functions on the points, C @ raw[:, J] for each (J, raw[:, J])
+    of raw_blocks (by default representer_blocks(state, points)), stacked
+    into one N x P array."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if raw_blocks is None:
+        raw_blocks = representer_blocks(state, pts)
+    c = state.c_matrix()
+    values = np.empty((state.n, len(pts)))
+    for j, raw in raw_blocks:
+        values[:, j] = c @ raw
+    return BasisEvaluation(points=pts, values=values)
+
+
+def unclamped_power(spec: KernelSpec, values: np.ndarray, scratch=None) -> np.ndarray:
+    """K(x,x) - sum_k v_{mu_k}(x)^2 per column of basis values, with the
+    squares in scratch (an array of their shape) when one is given.  It is
+    P^2(delta_x) and never below roundoff for an orthonormal basis, so a
+    clearly negative value shows values that are not those of one."""
+    kxx = kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d))
+    return kxx - np.square(values, out=scratch).sum(axis=0)
 
 
 def power_on_deltas(state: GreedyState, basis_eval: BasisEvaluation) -> np.ndarray:
     """P^2(delta_x) = K(x,x) - sum_k v_{mu_k}(x)^2 per point, clamped at 0."""
-    spec = state.spec
-    kxx = kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d))
-    p2 = kxx - (basis_eval.values**2).sum(axis=0)
-    return np.maximum(p2, 0.0)
+    return np.maximum(unclamped_power(state.spec, basis_eval.values), 0.0)
 
 
 def data_to_newton(state: GreedyState, data) -> np.ndarray:

@@ -31,7 +31,7 @@ from greedypde.runio import (
     read_trace_csv,
     write_matrix_csv,
 )
-from greedypde.solver import evaluate_basis, power_on_deltas
+from greedypde.solver import BLOCK, evaluate_basis, power_on_deltas
 
 SMALL_CFG = """\
 # desk config scaled way down for test speed
@@ -433,7 +433,7 @@ def test_build_loads_no_scipy_spatial(tmp_path):
 
 
 def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
-    # a fine grid makes the N x P basis values dominate what a solve allocates
+    # a fine grid makes two N x P arrays far larger than the block budget
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("grid_spacing = 0.08", "grid_spacing = 0.02"))
     stored = str(tmp_path / "stored")
     assert main(["build", "--config", cfg, "--out", stored]) == 0
@@ -443,6 +443,7 @@ def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
     rows = np.load(os.path.join(stored, "gridrows.npy"))
     basis_bytes = rows.nbytes
     assert rows.shape[0] == 40 and basis_bytes > 2_000_000
+    block_bytes = 8 * rows.shape[0] * (2 * BLOCK - 1)  # the widest block
     del rows
     for k, basis in enumerate((stored, recomputed)):
         # the first solve loads whatever the traced one would load lazily
@@ -455,9 +456,94 @@ def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the raw rows and the values during C @ raw, or the values and their
-        # squares in power_on_deltas; the slack covers the CSVs and the grid
-        assert peak <= 2.5 * basis_bytes + 1_000_000, (basis, peak / basis_bytes)
+        # a block's raw rows and its values (the squares reuse the rows'
+        # buffer); the slack covers the CSVs and the grid
+        assert peak <= 2 * block_bytes + 1_000_000, (basis, peak / block_bytes)
+
+
+@pytest.fixture(scope="module")
+def grid_bases(tmp_path_factory):
+    """Bases built on a grid of fewer than BLOCK points and on one of more than
+    2 BLOCK points that is no multiple of BLOCK: {P: like `built`}."""
+    tmp = tmp_path_factory.mktemp("grid_bases")
+    bases = {}
+    for spacing in ("0.1", "0.05"):
+        cfg = write_cfg(tmp, SMALL_CFG.replace("0.08", spacing), f"{spacing}.cfg")
+        out = str(tmp / f"basis{spacing}")
+        assert main(["build", "--config", cfg, "--out", out]) == 0
+        _, table = read_table_csv(os.path.join(out, "powergrid.csv"))
+        bases[len(table)] = dict(cfg=cfg, out=out)
+    small, large = sorted(bases)
+    assert small < BLOCK and large > 2 * BLOCK and large % BLOCK
+    return bases
+
+
+# Solves a basis, from its stored rows and from a copy without them, and
+# compares the outputs byte for byte with the one-product reference: the
+# formulas a solve used before it was streamed, on C @ gridrows.npy whole.
+_BIT_IDENTITY_CHILD = """\
+import filecmp, os, shutil, sys
+import numpy as np
+from greedypde import runio
+from greedypde.cli import load_basis, main
+from greedypde.config import load_config
+from greedypde.functionals import GaussianBump, data_vector
+from greedypde.geometry import disk_candidates, evaluation_grid
+from greedypde.kernels import kernel_value
+from greedypde.solver import data_to_newton
+
+cfg_path, basis, out = sys.argv[1:]
+cfg = load_config(cfg_path)
+state = load_basis(basis, cfg)
+problem = GaussianBump(center=cfg.problem_center, shape=cfg.problem_shape)
+points = evaluation_grid(disk_candidates(cfg.domain_count, cfg.boundary_count),
+                         cfg.grid_spacing).points
+mu = data_to_newton(state, data_vector(state.fset, range(state.n), problem))
+values = state.c_matrix() @ np.load(os.path.join(basis, "gridrows.npy"))
+kxx = kernel_value(state.spec, np.zeros(2), np.zeros(2))
+p_delta = np.sqrt(np.maximum(kxx - (values**2).sum(axis=0), 0.0))
+partial = np.cumsum(values * mu[:, None], axis=0)
+u_true = problem.value(points)
+u_approx = partial[-1]
+errors = np.abs(u_true - partial).max(axis=1)
+steps = np.arange(1, state.n + 1)
+os.makedirs(out + "-ref")
+runio.write_table_csv(os.path.join(out + "-ref", "errors.csv"),
+                      ["N", "max_abs_error", "normalized_error"],
+                      [steps, errors, errors / errors[0]])
+runio.write_table_csv(os.path.join(out + "-ref", "coeffs.csv"),
+                      ["N", "coeff_sq_cumsum"], [steps, np.cumsum(mu**2)])
+runio.write_table_csv(os.path.join(out + "-ref", "solution.csv"),
+                      ["x1", "x2", "u_true", "u_approx", "abs_error", "power_delta"],
+                      [points[:, 0], points[:, 1], u_true, u_approx,
+                       np.abs(u_true - u_approx), p_delta])
+
+fallback = out + "-basis"
+shutil.copytree(basis, fallback)
+os.remove(os.path.join(fallback, "gridrows.npy"))
+for path, source in (("stored", basis), ("fallback", fallback)):
+    assert main(["solve", "--config", cfg_path, "--basis", source,
+                 "--out", f"{out}-{path}"]) == 0
+    for name in ("errors.csv", "coeffs.csv", "solution.csv"):
+        if not filecmp.cmp(f"{out}-{path}/{name}", f"{out}-ref/{name}", shallow=False):
+            print(path, name)
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "1"], ids=["default-threads", "one-thread"])
+def test_streamed_solve_is_bit_identical_to_one_product(grid_bases, tmp_path, threads):
+    src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    for n_points, built in grid_bases.items():
+        child = subprocess.run(
+            [sys.executable, "-c", _BIT_IDENTITY_CHILD, built["cfg"], built["out"],
+             str(tmp_path / f"s{n_points}")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "", (n_points, child.stdout)
 
 
 @pytest.mark.parametrize("override", ["grid_spacing = 0.1", "boundary_count = 24"])
@@ -606,6 +692,84 @@ def test_malformed_artifact_exits_2_naming_file(built, tmp_path_factory, capsys,
         assert _run_on_basis(built, command, basis, basis + "-solved") == 2
     assert name in capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
+
+
+def _npy_data_start(raw):
+    fh = io.BytesIO(raw)
+    np.lib.format.read_magic(fh)
+    np.lib.format.read_array_header_1_0(fh)
+    return fh.tell()
+
+
+def _nan_in_last_block(rows):
+    rows[-1, -1] = np.nan
+    return rows
+
+
+def _cut_in_a_later_row_segment(raw):
+    """The file cut in the middle of the last row's segment of block 2."""
+    rows = np.load(io.BytesIO(raw))
+    n, p = rows.shape
+    return raw[: _npy_data_start(raw) + 8 * ((n - 1) * p + BLOCK + 100) + 4]
+
+
+@pytest.mark.parametrize("corrupt", [_edit_npy(_nan_in_last_block),
+                                     _cut_in_a_later_row_segment],
+                         ids=["nan-in-last-block", "truncated-in-a-later-segment"])
+def test_grid_rows_fault_in_a_later_block_exits_2_naming_file(grid_bases, tmp_path_factory,
+                                                              capsys, corrupt):
+    built = grid_bases[max(grid_bases)]
+    basis = _corrupted_basis(built, tmp_path_factory, "gridrows.npy", corrupt, binary=True)
+    _reseal_grid_rows(basis)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run_on_basis(built, "solve", basis, basis + "-solved") == 2
+    assert "gridrows.npy" in capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert not os.path.exists(basis + "-solved")
+
+
+@pytest.fixture(scope="module")
+def desk_basis(tmp_path_factory):
+    """A build with the default (desk-scale, m = 4) config, like `built`."""
+    tmp = tmp_path_factory.mktemp("desk")
+    cfg = write_cfg(tmp, "")
+    out = str(tmp / "basis")
+    assert main(["build", "--config", cfg, "--out", out]) == 0
+    return dict(cfg=cfg, out=out)
+
+
+def _move_on_line_151(column, step):
+    """cmatrix.csv with step(value) added to the entry of line 151 that
+    column(values of the line) picks."""
+    def corrupt(text):
+        lines = text.splitlines(True)
+        row = lines[150].rstrip("\n").split(",")
+        k = column([float(v) for v in row])
+        row[k] = repr(float(row[k]) + step(float(row[k])))
+        lines[150] = ",".join(row) + "\n"
+        return "".join(lines)
+    return corrupt
+
+
+@pytest.mark.parametrize("path", ["stored", "fallback"])
+@pytest.mark.parametrize("corrupt", [
+    _move_on_line_151(lambda row: 37, lambda v: -1.0),
+    _move_on_line_151(lambda row: int(np.argmax(np.abs(row))),
+                      lambda v: -math.copysign(1.0, v)),
+], ids=["column-38-minus-1", "largest-toward-zero"])
+def test_c_that_is_not_orthonormal_exits_3_naming_it(desk_basis, tmp_path_factory, capsys,
+                                                     corrupt, path):
+    basis = _corrupted_basis(desk_basis, tmp_path_factory, "cmatrix.csv", corrupt)
+    if path == "fallback":
+        os.remove(os.path.join(basis, "gridrows.npy"))
+    capsys.readouterr()
+    assert _run_on_basis(desk_basis, "solve", basis, basis + "-solved") == 3
+    err = capsys.readouterr().err
+    assert "cmatrix.csv" in err
+    assert ("gridrows.npy" if path == "stored" else "selected.txt") in err
+    assert not os.path.exists(basis + "-solved")
 
 
 _SEPARATORS = ", ="
