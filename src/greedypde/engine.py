@@ -27,13 +27,10 @@ storage per distinct radius.
 The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
 over an evaluation point set peaks on the boundary.  Given an evaluation
-grid, a tracker deflates the delta power P^2(delta_x) over the grid one basis
-row at a time and records rho, the sup of the remaining delta power, after
-each row; that record is the trace's rho column.  Row k needs only the C row
-of step k and the representer rows of steps <= k, so the loop deflates only
-where a result needs the grid (before each extended selection and once after
-the loop) with the same bits as deflating at every step, and hands the final
-grid powers and the raw representer rows back in the trace.
+grid, a tracker deflates the delta power P^2(delta_x) over the grid by each
+basis row in the step that adds it and records rho, the sup of the remaining
+delta power, after each row; that record is the trace's rho column.  The run
+hands the final grid powers and the raw representer rows back in the trace.
 """
 
 from __future__ import annotations
@@ -284,13 +281,8 @@ class RunTrace:
 
 
 class _GridTracker:
-    """Residual delta powers on a point grid, deflated one basis row at a time.
-
-    Rows are brought up to date lazily: row k only needs the C row of step k
-    and the raw representer rows of steps <= k, so deferred syncing produces
-    bit-identical values.  `rho[k]` is sqrt(max residual) after row k was
-    deflated.
-    """
+    """Residual delta powers on a point grid, deflated by each basis row as
+    the run adds it.  `rho[k]` is sqrt(max residual) after row k."""
 
     def __init__(self, grid: EvalGrid, spec: KernelSpec, rows: int):
         self.points = grid.points
@@ -298,20 +290,16 @@ class _GridTracker:
         p = len(grid)
         self.residual = np.full(p, kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d)))
         self._raw = np.zeros((rows, p))
-        self.n_raw = 0
         self.rho: list[float] = []
 
-    def append_selected(self, f) -> None:
-        self._raw[self.n_raw] = riesz_row(f, self.points, self.spec)
-        self.n_raw += 1
-
-    def sync(self, state: GreedyState) -> None:
-        """Deflate the grid residual by the pending basis rows, recording rho
-        after each."""
-        for k in range(len(self.rho), min(state.n, self.n_raw)):
-            row = state._c[k, : k + 1] @ self._raw[: k + 1]
-            np.maximum(self.residual - row**2, 0.0, out=self.residual)
-            self.rho.append(math.sqrt(float(self.residual.max())))
+    def append(self, f, c_row: np.ndarray) -> None:
+        """Add the representer row of the selected functional f and deflate
+        the grid residual by the basis row c_row @ raw, recording rho."""
+        k = len(self.rho)
+        self._raw[k] = riesz_row(f, self.points, self.spec)
+        row = c_row @ self._raw[: k + 1]
+        np.maximum(self.residual - row**2, 0.0, out=self.residual)
+        self.rho.append(math.sqrt(float(self.residual.max())))
 
     def interior_max(self, y_indices: np.ndarray) -> float:
         return float(self.residual[y_indices].max())
@@ -358,7 +346,6 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     for _ in range(n_max):
         try:
             if mode == "extended":
-                tracker.sync(state)
                 y_max = tracker.interior_max(y_indices)
                 z_max = float(state.residual_power[bnd_idx].max()) if bnd_idx.size else -np.inf
                 on_boundary = z_max >= y_max
@@ -373,7 +360,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         dist = distance(fset.points, fset.points[chosen])
         extend(state, chosen, dist)
         if tracker is not None:
-            tracker.append_selected(fset[chosen])
+            tracker.append(fset[chosen], state._c[state.n - 1, : state.n])
 
         if is_boundary:
             d = dist[bnd_mask]
@@ -393,8 +380,6 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
                             else math.nan)
 
     n_steps = len(rows["sigma"])
-    if tracker is not None:
-        tracker.sync(state)
     trace = RunTrace(
         steps=np.arange(1, n_steps + 1),
         sigma=np.array(rows["sigma"]),
@@ -405,6 +390,6 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         cond_c=np.array(rows["cond_c"]),
         boundary_power_max=np.array(rows["bmax"]),
         grid_power=tracker.residual if tracker is not None else None,
-        grid_rows=tracker._raw[: tracker.n_raw] if tracker is not None else None,
+        grid_rows=tracker._raw[: len(tracker.rho)] if tracker is not None else None,
     )
     return state, trace

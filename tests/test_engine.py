@@ -279,9 +279,8 @@ def test_run_stops_early_on_large_tolerance():
 @pytest.mark.parametrize("m, mode, stop_tol", [
     (4, "standard", 1e-2), (6, "extended", 1e-12), (6, "standard", 1e-12)])
 def test_rho_matches_basis_oracle_at_every_step(m, mode, stop_tol):
-    # rho is recorded as the tracker deflates, which a standard run does only
-    # after the loop and an extended run before each selection; every step's
-    # value must still be the grid sup of K(0) minus the summed squares of
+    # rho is recorded as the tracker deflates each step's basis row; every
+    # step's value must be the grid sup of K(0) minus the summed squares of
     # the first k basis functions
     geometry = disk_candidates(120, 16)
     fset = disk_functional_set(geometry)
@@ -306,8 +305,8 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
     grid = evaluation_grid(geometry, 0.1)
     state, trace = run(fset, SPEC, n_max=len(fset), stop_tol=1e-2,
                        eval_grid=grid)
-    # stopped on Converged; a standard run syncs the grid only after the
-    # loop, so that sync brings every row into the grid power and rho
+    # stopped on Converged; every row the run added is in the grid power
+    # and rho
     assert state.n < len(fset)
     assert trace.rho[-1] == np.sqrt(trace.grid_power.max())
     basis = evaluate_basis(state, points=grid.points)
