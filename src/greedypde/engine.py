@@ -9,16 +9,17 @@ is (N+2)|Lambda| floats plus C, an N x N buffer and the N column sums of |C|;
 the candidate set itself is d + 1 floats and a flag per candidate
 (FunctionalSet's packed arrays), with no Python object per candidate.
 A step costs one kernel column over the set, one N x |Lambda| matvec
-(O(N |Lambda|), a second one when the step reorthogonalizes) and O(N^2) for
-the C row and the trace's condition estimate: ||C||_1 comes from the column
-sums, which each step updates by its new row, and the Hager solves run on C
-copied into the buffer, which is reused from step to step.  With an
-evaluation grid a step adds one representer row over the P grid points and
-an O(N P) deflation of the grid powers.  `run` allocates the Newton columns,
-C, its buffer and the grid tracker's raw rows once for n_max rows and never
-copies them; np.zeros commits pages only as rows are written, so the rows a
-converged run never reaches cost no resident memory.  A state driven through
-init/extend directly grows its arrays by doubling.  The operator-delta half
+(O(N |Lambda|): one projection, as in the Newton-basis recursion of Pazouki
+& Schaback 2011) and O(N^2) for the C row and the trace's condition
+estimate: ||C||_1 comes from the column sums, which each step updates by its
+new row, and the Hager solves run on C copied into the buffer, which is
+reused from step to step.  With an evaluation grid a step adds one
+representer row over the P grid points and an O(N P) deflation of the grid
+powers.  `run` allocates the Newton columns, C, its buffer and the grid
+tracker's raw rows once for n_max rows and never copies them; np.zeros
+commits pages only as rows are written, so the rows a converged run never
+reaches cost no resident memory.  A state driven through init/extend
+directly grows its arrays by doubling.  The operator-delta half
 of a column is the bilaplacian at radii that recur from step to step, so the
 state keeps one table of them (functionals.BilaplacianTable) and each
 distinct radius is evaluated once per run, at the cost of one float pair of
@@ -52,9 +53,8 @@ from .functionals import (
 from .geometry import EvalGrid, fill_distance
 from .kernels import KernelSpec, distance, kernel_value
 
-# Power drop factor under which a second orthogonalization pass runs
-# (twice-is-enough Gram-Schmidt).
-REORTH_THRESHOLD = 1e-6
+# No step reorthogonalizes; only perfbench's traced mode reads this name.
+REORTH_THRESHOLD = 0.0
 
 # Relative residual floor: anything below -1e-6 * diag signals a broken Gram.
 _NEGATIVE_FLOOR = 1e-6
@@ -204,8 +204,8 @@ def extend(state: GreedyState, chosen: int,
     dual_inner_column.
 
     The raw cross column (lam, lam_chosen) is overwritten in place by
-    (lam, mu_new); a second orthogonalization pass runs when the power drop
-    factor residual/diag falls below REORTH_THRESHOLD.
+    (lam, mu_new): one projection onto the earlier Newton columns, then the
+    scale 1/sqrt(r) with r the chosen functional's residual power.
     """
     r = float(state.residual_power[chosen])
     if r <= 0.0 or chosen in state.selected:
@@ -220,24 +220,13 @@ def extend(state: GreedyState, chosen: int,
     w = dual_inner_column(state.fset[chosen], state.fset, state.spec,
                           state.dd_table, distances)
     proj = cols[:, chosen].copy()
-    if N:
-        w -= proj @ cols
     brow = np.zeros(N + 1)
     brow[N] = 1.0
     if N:
+        w -= proj @ cols
         brow[:N] = -(proj @ ctri)
 
-    p2 = r
-    if N and r < REORTH_THRESHOLD * float(state.diag[chosen]):
-        sel = np.asarray(state.selected, dtype=int)
-        s = ctri @ w[sel]
-        w -= s @ cols
-        brow[:N] -= s @ ctri
-        p2 = float(brow[:N] @ w[sel] + w[chosen])
-        if p2 <= 0.0:
-            raise NumericalError("reorthogonalization lost positivity")
-
-    c = 1.0 / math.sqrt(p2)
+    c = 1.0 / math.sqrt(r)
     w *= c
     state._columns[N] = w
     state._c[N, : N + 1] = c * brow

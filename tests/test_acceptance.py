@@ -112,6 +112,15 @@ def test_criterion_2_orthonormality_and_pythagoras(desk_m4):
               f"(|CAC^T - I| {ortho_dev:.2e}, Pythagoras rel dev {pyth_dev:.2e})")
 
 
+def test_orthonormality_at_m6(desk_m6):
+    # criterion 2's C G C^T = I on the whole m=6 desk basis, where cond_C is
+    # far larger than at m=4
+    state, fset, spec = desk_m6["state"], desk_m6["fset"], desk_m6["spec"]
+    G = gram([fset[i] for i in state.selected], spec)
+    C = state.c_matrix()
+    assert np.abs(C @ G @ C.T - np.eye(state.n)).max() <= 1e-6
+
+
 def test_criterion_3_sigma_rates(desk_m4, desk_m5, desk_m6):
     slopes = {}
     for m, res in ((4, desk_m4), (5, desk_m5), (6, desk_m6)):

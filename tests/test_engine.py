@@ -22,6 +22,7 @@ from greedypde.functionals import (
     disk_functional_set,
     domain_op_delta,
     dual_inner,
+    dual_inner_column,
     gram,
     read_functionals,
     write_functionals,
@@ -129,6 +130,35 @@ def test_extend_rejects_exhausted_functional():
     extend(state, pick)
     with pytest.raises(InvalidSelectionError):
         extend(state, pick)
+
+
+def test_extend_makes_one_projection_per_step():
+    # four boundary deltas 1e-3 rad apart at m=6: from step 1 on each chosen
+    # functional keeps under 1e-6 of its dual norm, where a twice-is-enough
+    # Gram-Schmidt would project a second time; extend projects once
+    spec = KernelSpec(m=6, d=2)
+    angles = 1e-3 * np.arange(4)
+    fset = FunctionalSet([boundary_delta((np.cos(a), np.sin(a)), i)
+                          for i, a in enumerate(angles)])
+    state = init(fset, spec)
+    for chosen in range(4):
+        n = state.n
+        cols = state.newton_columns.copy()
+        ctri = state.c_matrix()
+        r = float(state.residual_power[chosen])
+        if n:
+            assert r < 1e-6 * state.diag[chosen]
+        proj = cols[:, chosen].copy()
+        w = dual_inner_column(fset[chosen], fset, spec)
+        brow = np.zeros(n + 1)
+        brow[n] = 1.0
+        if n:
+            w -= proj @ cols
+            brow[:n] = -(proj @ ctri)
+        c = 1.0 / np.sqrt(r)
+        extend(state, chosen)
+        assert np.array_equal(state.newton_columns[n], c * w)
+        assert np.array_equal(state.c_matrix()[n, : n + 1], c * brow)
 
 
 def test_two_step_power_formula():
