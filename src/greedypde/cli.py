@@ -32,7 +32,7 @@ from .functionals import (
     write_functionals,
 )
 from .geometry import disk_candidates, evaluation_grid
-from .kernels import KernelSpec, kernel_value
+from .kernels import KernelSpec, radial_kernel
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -265,7 +265,7 @@ def _check_power(p2: np.ndarray, spec: KernelSpec, points: np.ndarray,
                  cmat_path: str, source: str) -> None:
     """Raise NumericalError, naming C and the rows' source, when the unclamped
     P^2(delta_x) on the grid shows a basis that is not orthonormal."""
-    kxx = kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d))
+    kxx = radial_kernel(spec, 0.0)
     k = int(np.argmin(p2))
     if p2[k] < -_POWER_TOL * kxx:
         raise NumericalError(
@@ -354,16 +354,10 @@ def main(argv=None) -> int:
             cmd_solve(cfg, args.basis, out_dir)
         else:
             cmd_report(cfg, out_dir)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except GreedyPDEError as exc:
+    except (FileNotFoundError, GreedyPDEError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

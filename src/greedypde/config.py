@@ -14,9 +14,6 @@ from .errors import ConfigError
 
 MODES = ("standard", "extended")
 PROBLEMS = ("gaussian", "powercusp", "none")
-# Real-valued keys; NaN and infinities slip through the sign checks below.
-_REAL_KEYS = ("scale", "stop_tol", "grid_spacing", "problem_shape",
-              "problem_exponent", "problem_center")
 
 
 @dataclass
@@ -75,6 +72,8 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Real-valued keys; NaN and infinities slip through the sign checks above.
+_REAL_KEYS = tuple(k for k, t in _FIELD_TYPES.items() if "float" in t)
 
 
 def _coerce(key: str, raw: str):
@@ -83,9 +82,9 @@ def _coerce(key: str, raw: str):
         if len(parts) != 2:
             raise ConfigError(f"problem_center: expected two coordinates, got {raw!r}")
         return (float(parts[0]), float(parts[1]))
-    if key in ("mode", "problem", "out_dir"):
-        return raw
     ftype = _FIELD_TYPES[key]
+    if ftype == "str":
+        return raw
     if ftype == "int":
         return int(raw)
     return float(raw)

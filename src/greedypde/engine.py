@@ -51,7 +51,7 @@ from .functionals import (
     self_inner_column,
 )
 from .geometry import EvalGrid, fill_distance
-from .kernels import KernelSpec, distance, kernel_value
+from .kernels import KernelSpec, distance, radial_kernel
 
 # No step reorthogonalizes; only perfbench's traced mode reads this name.
 REORTH_THRESHOLD = 0.0
@@ -277,7 +277,7 @@ class _GridTracker:
         self.points = grid.points
         self.spec = spec
         p = len(grid)
-        self.residual = np.full(p, kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d)))
+        self.residual = np.full(p, radial_kernel(spec, 0.0))
         self._raw = np.zeros((rows, p))
         self.rho: list[float] = []
 

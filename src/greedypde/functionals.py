@@ -217,12 +217,6 @@ class BilaplacianTable:
         return out
 
 
-def _per_distinct_radius(radial, spec: KernelSpec, t: np.ndarray) -> np.ndarray:
-    """radial(spec, t), evaluated once per distinct radius and gathered."""
-    distinct, inverse = np.unique(t, return_inverse=True)
-    return radial(spec, distinct)[inverse]
-
-
 def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
                       table: BilaplacianTable | None = None,
                       distances: np.ndarray | None = None) -> np.ndarray:
@@ -230,13 +224,12 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
 
     (lam, f) depends only on the kinds and on the scaled distance
     t = ||lam - f|| / scale, and the kernel evaluators are pure functions of
-    t, so each value is evaluated once per distinct t and gathered; the
-    result is exactly the per-candidate one.  Operator-delta
-    pairs go through `table`, which a greedy run keeps across all its columns
-    so that each of their radii is evaluated once per run (a fresh table when
-    None); the pairs with a boundary delta, whose radii rarely repeat across
-    columns, are deduplicated within the column.  `distances`, when given,
-    is kernels.distance(fset.points, f.point), which a caller that needs it
+    t, so the result is exactly the per-candidate one.  Operator-delta pairs
+    go through `table`, which a greedy run keeps across all its columns so
+    that each of their radii is evaluated once per run (a fresh table when
+    None); the pairs with a boundary delta, whose radii rarely repeat, are
+    evaluated directly.  `distances`, when given, is
+    kernels.distance(fset.points, f.point), which a caller that needs it
     anyway can pass in instead of having it computed twice.
     """
     if table is None:
@@ -250,10 +243,10 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
     out = np.empty(len(fset))
     if f.kind == DOMAIN_OP_DELTA:
         out[dm] = table.lookup(t[dm])
-        out[bm] = _per_distinct_radius(radial_laplacian, spec, t[bm])
+        out[bm] = radial_laplacian(spec, t[bm])
     else:
-        out[dm] = _per_distinct_radius(radial_laplacian, spec, t[dm])
-        out[bm] = _per_distinct_radius(radial_kernel, spec, t[bm])
+        out[dm] = radial_laplacian(spec, t[dm])
+        out[bm] = radial_kernel(spec, t[bm])
     return out
 
 

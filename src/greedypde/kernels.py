@@ -26,29 +26,31 @@ distinct radius once and reuse the value.
 
 One Bessel stack serves every evaluator (`_phi_terms`).  For integer nu
 (every even d, so the shipped d = 2) the orders |nu - k| are integers, and
-the stack takes K_0 and K_1 from a seed pair and climbs with the upward
-recurrence K_{n+1} = K_{n-1} + (2n/t) K_n (DLMF 10.29.1; stable upward for
-K).  The factor 2n/t is accumulated as rz, rz + rz, ... with rz = 2/t.
-Above t = 600, where kv rescales against underflow, every order is taken
-from kv instead.  Non-integer orders (odd d) call kv once per order.  Two
-seed pairs serve two kinds of value:
+the stack takes K_0 and K_1 from a seed pair and climbs to every higher
+order with the upward recurrence K_{n+1} = K_{n-1} + (2n/t) K_n
+(DLMF 10.29.1; stable upward for K).  The factor 2n/t is accumulated as
+rz, rz + rz, ... with rz = 2/t.  Non-integer orders (odd d) call kv once
+per order.  Two seed pairs serve two kinds of value:
 
 - Dual inner products (the point forms, and the radial forms by default)
-  seed with AMOS kv(0, t) and kv(1, t).  The recurrence above is the
-  arithmetic of the AMOS routine behind scipy's kv, which computes K_n from
-  the same two seeds the same way, so every stack entry equals kv(n, t) bit
-  for bit and these evaluators return exactly what per-order kv calls
-  return (tests/test_kernels.py holds them to that).  Forming 2n/t
-  or n*(2/t) directly rounds differently: from K_4 on it is an ulp off for
-  about a fifth of the radii.  A Laplacian or bilaplacian costs two kv
-  calls; a kernel value costs one, kv(nu, t).  These values fill the Gram
-  columns, where mirror-symmetric candidates tie in residual power and the
-  last bit settles the pick, so their bits are kept.
+  seed with AMOS kv(0, t) and kv(1, t), two kv calls per evaluation.  The
+  recurrence above is the arithmetic of the AMOS routine behind scipy's kv,
+  which computes K_n from the same two seeds the same way, so wherever kv
+  does not rescale against underflow (t up to about 664.87) every stack
+  entry equals kv(n, t) bit for bit and these evaluators return exactly
+  what per-order kv calls return (tests/test_kernels.py holds them to
+  that).  Forming 2n/t or n*(2/t) directly rounds differently: from K_4 on
+  it is an ulp off for about a fifth of the radii.  These values fill the
+  Gram columns, where mirror-symmetric candidates tie in residual power and
+  the last bit settles the pick, so their bits are kept.  Above t = 664.87
+  the kv seeds themselves are off by up to 5.7e-14 relative, and from
+  t = 697.9 on they are 0; radii in the unit disk reach that far only for
+  scale < 1/300.
 - Representer rows (functionals.riesz_value: the grid tracker's rows and
-  the basis values) seed with Cephes k0(t) and k1(t) (`cephes=True`), and
-  the kernel row climbs the stack as well: each seed costs about 60 ns a
-  radius against about 200 ns for a kv call.  Cephes is slightly more
-  accurate than kv against 40-digit mpmath, and the rows agree with the
+  the basis values) seed with Cephes k0(t) and k1(t) (`cephes=True`): each
+  seed costs about 60 ns a radius against about 200 ns for a kv call.
+  Cephes is slightly more accurate than kv against 40-digit mpmath, and
+  stays so up to t = 705, past where kv fails; the rows agree with the
   kv-seeded values to roundoff, not bit for bit.  No standard-mode pick
   reads them; the extended rule compares their grid powers with the
   candidates' residual powers.
@@ -69,10 +71,6 @@ import numpy as np
 # Below this scaled radius r^mu K_mu(r) is replaced by its analytic limit:
 # the removable singularity is the only regime where the product cancels.
 _LIMIT_RADIUS = 1e-8
-
-# kv (AMOS) rescales its recurrence against underflow above t ~ 664.87, and
-# from there it no longer rounds like the plain recurrence; K_0(600) ~ 1e-262.
-_RECURRENCE_MAX = 600.0
 
 
 @dataclass(frozen=True)
@@ -165,32 +163,24 @@ def _phi_limit(mu: float) -> float:
 def _bessel_orders(orders, t: np.ndarray, cephes: bool = False) -> list[np.ndarray]:
     """[K_o(t) for o in orders], for orders o >= 0 and t > 0.
 
-    Any non-integer order is one kv call per order, and so is a single
-    distinct order under kv seeds (kv computes it from those seeds itself).
-    Otherwise K_0 and K_1 come from kv, or from Cephes k0 and k1 when
-    `cephes` is set, and the higher orders from the recurrence
-    K_{n+1} = ck K_n + K_{n-1} with ck accumulated as rz, rz + rz, ...
-    (rz = 2/t): kv's own arithmetic, so from kv seeds each value equals
-    kv(n, t) bit for bit.  Above _RECURRENCE_MAX, a margin below where kv
-    starts rescaling against underflow, every order comes from kv.  An
-    empty t (every radius below _LIMIT_RADIUS) makes no call.
+    Any non-integer order is one kv call per order.  Otherwise K_0 and K_1
+    come from kv, or from Cephes k0 and k1 when `cephes` is set, and every
+    higher order from the recurrence K_{n+1} = ck K_n + K_{n-1} with ck
+    accumulated as rz, rz + rz, ... (rz = 2/t): kv's own arithmetic, so from
+    kv seeds each value equals kv(n, t) bit for bit wherever kv does not
+    rescale against underflow.  An empty t (every radius below
+    _LIMIT_RADIUS) makes no call.
     """
     if t.size == 0:
         return [t.copy() for _ in orders]
-    if not all(float(o).is_integer() for o in orders) or (
-            not cephes and len(set(orders)) == 1):
+    if not all(float(o).is_integer() for o in orders):
         return [kv(o, t) for o in orders]
-    top = int(max(orders))
     stack = [k0(t), k1(t)] if cephes else [kv(0, t), kv(1, t)]
     rz = 2.0 / t
     ck = rz
-    for _ in range(top - 1):
+    for _ in range(int(max(orders)) - 1):
         stack.append(ck * stack[-1] + stack[-2])
         ck = ck + rz
-    far = t > _RECURRENCE_MAX
-    if far.any():
-        for n in range(top + 1):
-            stack[n][far] = kv(n, t[far])
     return [stack[int(o)] for o in orders]
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .engine import GreedyState
 from .errors import NumericalError
 from .functionals import FunctionalSet, gram, riesz_row, riesz_value
-from .kernels import KernelSpec, kernel_value
+from .kernels import KernelSpec, radial_kernel
 
 
 @dataclass
@@ -87,7 +87,7 @@ def unclamped_power(spec: KernelSpec, values: np.ndarray, scratch=None) -> np.nd
     squares in scratch (an array of their shape) when one is given.  It is
     P^2(delta_x) and never below roundoff for an orthonormal basis, so a
     clearly negative value shows values that are not those of one."""
-    kxx = kernel_value(spec, np.zeros(spec.d), np.zeros(spec.d))
+    kxx = radial_kernel(spec, 0.0)
     return kxx - np.square(values, out=scratch).sum(axis=0)
 
 

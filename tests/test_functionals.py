@@ -92,7 +92,8 @@ def test_riesz_is_reproduction_of_dual_inner(rng):
 
 
 def test_dual_inner_column_matches_scalar_path():
-    # exact: the column evaluates each distinct distance once and gathers
+    # exact: the column and the scalar path evaluate the same pure functions
+    # of the distance
     geometry = disk_candidates(60, 12)
     fset = disk_functional_set(geometry)
     for spec in (SPEC, KernelSpec(m=6, d=2)):
