@@ -10,7 +10,7 @@ from .errors import ConfigError, Converged, GreedyPDEError, \
 from .functionals import BOUNDARY_DELTA, DOMAIN_OP_DELTA, Functional, \
     FunctionalSet, GaussianBump, PowerCusp, apply_to_solution, boundary_delta, \
     data_vector, disk_functional_set, domain_op_delta, dual_inner, \
-    dual_inner_column, gram, read_functionals, riesz_row, riesz_value, \
+    dual_inner_column, gram, read_functionals, riesz_value, \
     self_inner_column, write_functionals
 from .geometry import DiskGeometry, EvalGrid, disk_candidates, \
     evaluation_grid, fill_distance, read_points, write_points

@@ -296,7 +296,8 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
         p2 = np.empty(len(grid.points))
         u_approx = np.empty(len(grid.points))
         errors = np.zeros(state.n)
-        flat = np.empty(state.n * min(len(grid.points), 2 * solver.BLOCK - 1))
+        widest = max(j.stop - j.start for j in solver.grid_blocks(len(grid.points)))
+        flat = np.empty(state.n * widest)
         for j, raw in blocks:
             values = np.matmul(c, raw, out=flat[: raw.size].reshape(raw.shape))
             p2[j] = solver.unclamped_power(state.spec, values, scratch=raw)

@@ -47,7 +47,7 @@ from .functionals import (
     BilaplacianTable,
     FunctionalSet,
     dual_inner_column,
-    riesz_row,
+    riesz_value,
     self_inner_column,
 )
 from .geometry import EvalGrid, fill_distance
@@ -204,8 +204,9 @@ def extend(state: GreedyState, chosen: int,
     dual_inner_column.
 
     The raw cross column (lam, lam_chosen) is overwritten in place by
-    (lam, mu_new): one projection onto the earlier Newton columns, then the
-    scale 1/sqrt(r) with r the chosen functional's residual power.
+    (lam, mu_new): one projection onto the earlier Newton columns (none at
+    N = 0, where it subtracts a zero vector), then the scale 1/sqrt(r) with
+    r the chosen functional's residual power.
     """
     r = float(state.residual_power[chosen])
     if r <= 0.0 or chosen in state.selected:
@@ -220,16 +221,13 @@ def extend(state: GreedyState, chosen: int,
     w = dual_inner_column(state.fset[chosen], state.fset, state.spec,
                           state.dd_table, distances)
     proj = cols[:, chosen].copy()
-    brow = np.zeros(N + 1)
-    brow[N] = 1.0
-    if N:
-        w -= proj @ cols
-        brow[:N] = -(proj @ ctri)
+    w -= proj @ cols
 
     c = 1.0 / math.sqrt(r)
     w *= c
     state._columns[N] = w
-    state._c[N, : N + 1] = c * brow
+    state._c[N, :N] = -c * (proj @ ctri)
+    state._c[N, N] = c
     state._c_abs_sums[: N + 1] += np.abs(state._c[N, : N + 1])
     state.selected.append(int(chosen))
 
@@ -285,13 +283,10 @@ class _GridTracker:
         """Add the representer row of the selected functional f and deflate
         the grid residual by the basis row c_row @ raw, recording rho."""
         k = len(self.rho)
-        self._raw[k] = riesz_row(f, self.points, self.spec)
+        self._raw[k] = riesz_value(f, self.points, self.spec)
         row = c_row @ self._raw[: k + 1]
         np.maximum(self.residual - row**2, 0.0, out=self.residual)
         self.rho.append(math.sqrt(float(self.residual.max())))
-
-    def interior_max(self, y_indices: np.ndarray) -> float:
-        return float(self.residual[y_indices].max())
 
 
 def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
@@ -322,20 +317,19 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
 
     bnd_idx = fset.boundary_indices
     dom_mask = fset.domain_mask
-    bnd_mask = ~dom_mask
-    dom_ref = fset.points[dom_mask]
-    bnd_ref = fset.points[bnd_mask]
-    dmin_dom = None
-    dmin_bnd = None
-    h_dom = fill_distance([], dom_ref) if len(dom_ref) else math.nan
-    h_bnd = fill_distance([], bnd_ref) if len(bnd_ref) else math.nan
+    # fill distance per kind, indexed by is_boundary: the largest distance
+    # from a candidate to the nearest pick of its own kind
+    kind_masks = (dom_mask, ~dom_mask)
+    h = [fill_distance([], fset.points[own]) if own.any() else math.nan
+         for own in kind_masks]
+    nearest = np.full(len(fset), np.inf)
 
     rows = {k: [] for k in ("sigma", "kind", "h_domain", "h_boundary",
                             "cond_c", "bmax")}
     for _ in range(n_max):
         try:
             if mode == "extended":
-                y_max = tracker.interior_max(y_indices)
+                y_max = float(tracker.residual[y_indices].max())
                 z_max = float(state.residual_power[bnd_idx].max()) if bnd_idx.size else -np.inf
                 on_boundary = z_max >= y_max
                 chosen = select_extended(state, on_boundary, stop_tol)
@@ -351,19 +345,14 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         if tracker is not None:
             tracker.append(fset[chosen], state._c[state.n - 1, : state.n])
 
-        if is_boundary:
-            d = dist[bnd_mask]
-            dmin_bnd = d if dmin_bnd is None else np.minimum(dmin_bnd, d)
-            h_bnd = float(dmin_bnd.max())
-        else:
-            d = dist[dom_mask]
-            dmin_dom = d if dmin_dom is None else np.minimum(dmin_dom, d)
-            h_dom = float(dmin_dom.max())
+        own = kind_masks[is_boundary]
+        np.minimum(nearest, dist, out=nearest, where=own)
+        h[is_boundary] = float(nearest[own].max())
 
         rows["sigma"].append(state.sigma())
         rows["kind"].append("B" if is_boundary else "D")
-        rows["h_domain"].append(h_dom)
-        rows["h_boundary"].append(h_bnd)
+        rows["h_domain"].append(h[0])
+        rows["h_boundary"].append(h[1])
         rows["cond_c"].append(state.cond_c())
         rows["bmax"].append(float(state.residual_power[bnd_idx].max()) if bnd_idx.size
                             else math.nan)

@@ -23,9 +23,6 @@ import numpy as np
 
 from .kernels import (
     KernelSpec,
-    bilaplacian,
-    kernel_value,
-    laplacian_y,
     radial_bilaplacian,
     radial_kernel,
     radial_laplacian,
@@ -34,6 +31,10 @@ from .kernels import (
 
 BOUNDARY_DELTA = "B"
 DOMAIN_OP_DELTA = "D"
+
+# (lam, mu) = lam^x mu^y K applies one Laplacian per operator delta in the
+# pair, so the number of operator deltas (0, 1 or 2) indexes the radial form.
+_RADIAL_BY_DELTAS = (radial_kernel, radial_laplacian, radial_bilaplacian)
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,8 @@ def disk_functional_set(geometry) -> FunctionalSet:
 
 def dual_inner(a: Functional, b: Functional, spec: KernelSpec) -> float:
     """(a, b) in the dual space; symmetric in its arguments."""
-    if a.kind == DOMAIN_OP_DELTA and b.kind == DOMAIN_OP_DELTA:
-        return bilaplacian(spec, a.point, b.point)
-    if a.kind == BOUNDARY_DELTA and b.kind == BOUNDARY_DELTA:
-        return kernel_value(spec, a.point, b.point)
-    return laplacian_y(spec, a.point, b.point)
+    deltas = (a.kind == DOMAIN_OP_DELTA) + (b.kind == DOMAIN_OP_DELTA)
+    return _RADIAL_BY_DELTAS[deltas](spec, scaled_distance(spec, a.point, b.point))
 
 
 class BilaplacianTable:
@@ -251,30 +249,24 @@ def dual_inner_column(f: Functional, fset: FunctionalSet, spec: KernelSpec,
 
 
 def self_inner_column(fset: FunctionalSet, spec: KernelSpec) -> np.ndarray:
-    """(lam, lam) for every lam in the set; constant per kind since the
-    kernel is translation invariant."""
-    origin = np.zeros(spec.d)
-    dd = bilaplacian(spec, origin, origin)
-    bb = kernel_value(spec, origin, origin)
-    return np.where(fset.domain_mask, dd, bb)
+    """(lam, lam) for every lam in the set: the radial form at t = 0, since
+    the kernel is translation invariant, and a pair (lam, lam) holds two
+    operator deltas where lam is one."""
+    at_zero = np.array([radial(spec, 0.0) for radial in _RADIAL_BY_DELTAS])
+    return at_zero[2 * fset.domain_mask]
 
 
 def gram(functionals: Sequence[Functional], spec: KernelSpec) -> np.ndarray:
-    """Dense symmetric Gram matrix of dual inner products."""
+    """Dense symmetric Gram matrix of dual inner products; entry (i, j) is
+    dual_inner(functionals[i], functionals[j]) bit for bit."""
     pts = np.array([f.point for f in functionals], dtype=float)
-    dm = np.array([f.kind == DOMAIN_OP_DELTA for f in functionals], dtype=bool)
-    k = len(functionals)
-    G = np.empty((k, k))
-    di = np.nonzero(dm)[0]
-    bi = np.nonzero(~dm)[0]
-    if di.size:
-        G[np.ix_(di, di)] = bilaplacian(spec, pts[di][:, None, :], pts[di][None, :, :])
-    if bi.size:
-        G[np.ix_(bi, bi)] = kernel_value(spec, pts[bi][:, None, :], pts[bi][None, :, :])
-    if di.size and bi.size:
-        cross = laplacian_y(spec, pts[di][:, None, :], pts[bi][None, :, :])
-        G[np.ix_(di, bi)] = cross
-        G[np.ix_(bi, di)] = cross.T
+    ops = np.array([f.kind == DOMAIN_OP_DELTA for f in functionals], dtype=int)
+    t = scaled_distance(spec, pts[:, None, :], pts[None, :, :])
+    deltas = ops[:, None] + ops[None, :]
+    G = np.empty(t.shape)
+    for n, radial in enumerate(_RADIAL_BY_DELTAS):
+        pair = deltas == n
+        G[pair] = radial(spec, t[pair])
     return G
 
 
@@ -283,19 +275,13 @@ def riesz_value(f: Functional, x, spec: KernelSpec):
 
     The Bessel stack is seeded with Cephes k0/k1, about three times cheaper
     per radius than the kv seeds of the dual inner products, so v_f(x)
-    equals dual_inner(f, delta_x) to roundoff, not bit for bit.  Grid rows,
-    basis values and the collocation oracle read it; no standard-mode pick
-    does.
+    equals dual_inner(f, delta_x) to roundoff, not bit for bit.  The grid
+    tracker's row at each build step (engine), the basis values on a grid
+    (solver.representer_blocks) and the collocation oracle read it; no
+    standard-mode pick does.
     """
     t = scaled_distance(spec, x, f.point)
-    radial = radial_kernel if f.kind == BOUNDARY_DELTA else radial_laplacian
-    return radial(spec, t, cephes=True)
-
-
-def riesz_row(f: Functional, points: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """v_f over an (n, d) point array (see riesz_value): the grid tracker's
-    row at each build step and evaluate_basis's rows."""
-    return riesz_value(f, points, spec)
+    return _RADIAL_BY_DELTAS[f.kind == DOMAIN_OP_DELTA](spec, t, cephes=True)
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ BOUNDARY_TOL = 1e-12
 class DiskGeometry:
     """Candidate points for the closed unit disk.
 
-    domain_points: square grid of the stored spacing, clipped to ||x|| <= 1;
+    domain_points: square grid clipped to ||x|| <= 1;
     boundary_points: equispaced points on the unit circle.
     """
 
     domain_points: np.ndarray
     boundary_points: np.ndarray
-    spacing: float
 
     def on_boundary(self, points, tol: float = BOUNDARY_TOL) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -49,11 +48,10 @@ def disk_candidates(target_domain_count: int, target_boundary_count: int) -> Dis
     """
     if target_domain_count < 1 or target_boundary_count < 1:
         raise ValueError("candidate counts must be >= 1")
-    spacing = math.sqrt(math.pi / target_domain_count)
-    domain = _disk_grid(spacing)
+    domain = _disk_grid(math.sqrt(math.pi / target_domain_count))
     ang = 2.0 * math.pi * np.arange(target_boundary_count) / target_boundary_count
     boundary = np.column_stack([np.cos(ang), np.sin(ang)])
-    return DiskGeometry(domain_points=domain, boundary_points=boundary, spacing=spacing)
+    return DiskGeometry(domain_points=domain, boundary_points=boundary)
 
 
 def _cross(o, a, b) -> float:

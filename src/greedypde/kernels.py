@@ -32,7 +32,7 @@ order with the upward recurrence K_{n+1} = K_{n-1} + (2n/t) K_n
 rz, rz + rz, ... with rz = 2/t.  Non-integer orders (odd d) call kv once
 per order.  Two seed pairs serve two kinds of value:
 
-- Dual inner products (the point forms, and the radial forms by default)
+- Dual inner products (the radial forms by default, so also the point forms)
   seed with AMOS kv(0, t) and kv(1, t), two kv calls per evaluation.  The
   recurrence above is the arithmetic of the AMOS routine behind scipy's kv,
   which computes K_n from the same two seeds the same way, so wherever kv

@@ -4,7 +4,6 @@ tables and reports."""
 
 from __future__ import annotations
 
-import math
 import tokenize
 import zlib
 
@@ -235,8 +234,7 @@ def write_rates_csv(path, rates: list[tuple[str, float, float, float]]) -> None:
     with open(path, "w") as fh:
         fh.write("quantity,slope,window_lo,window_hi\n")
         for name, slope, lo, hi in rates:
-            slope_s = "nan" if slope is None or math.isnan(slope) else _fmt(slope)
-            fh.write(f"{name},{slope_s},{_fmt(lo)},{_fmt(hi)}\n")
+            fh.write(f"{name},{_fmt(slope)},{_fmt(lo)},{_fmt(hi)}\n")
 
 
 _PLOT_SCRIPT = """\

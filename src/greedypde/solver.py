@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import GreedyState
 from .errors import NumericalError
-from .functionals import FunctionalSet, gram, riesz_row, riesz_value
+from .functionals import FunctionalSet, gram, riesz_value
 from .kernels import KernelSpec, radial_kernel
 
 
@@ -54,7 +54,7 @@ def grid_blocks(n_points: int) -> list[slice]:
 
 def representer_blocks(state: GreedyState, points) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (J, raw[:, J]) for each block J of the points (grid_blocks): the
-    representer rows riesz_row(f, points[J]) of the selected functionals,
+    representer rows riesz_value(f, points[J]) of the selected functionals,
     from which the basis values on the block are C @ raw[:, J].  Every block
     is a view of one buffer: the caller may use it, as scratch too, until it
     asks for the next block, which overwrites it."""
@@ -64,7 +64,7 @@ def representer_blocks(state: GreedyState, points) -> Iterator[tuple[slice, np.n
     for j in blocks:
         raw = flat[: state.n * (j.stop - j.start)].reshape(state.n, j.stop - j.start)
         for k, i in enumerate(state.selected):
-            raw[k] = riesz_row(state.fset[i], pts[j], state.spec)
+            raw[k] = riesz_value(state.fset[i], pts[j], state.spec)
         yield j, raw
 
 

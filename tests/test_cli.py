@@ -341,13 +341,13 @@ def test_solve_refuses_zero_first_error(built, tmp_path, capsys):
 
 def _count_riesz_rows(monkeypatch):
     calls = []
-    real = greedypde.solver.riesz_row
+    real = greedypde.solver.riesz_value
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(greedypde.solver, "riesz_row", counted)
+    monkeypatch.setattr(greedypde.solver, "riesz_value", counted)
     return calls
 
 

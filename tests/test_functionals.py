@@ -169,17 +169,26 @@ def test_self_inner_column_matches_scalar_path():
     fset = disk_functional_set(geometry)
     diag = self_inner_column(fset, SPEC)
     expected = np.array([dual_inner(f, f, SPEC) for f in fset])
-    assert np.allclose(diag, expected, rtol=1e-13)
+    assert np.array_equal(diag, expected)
 
 
 def test_gram_symmetric_and_psd(rng):
     geometry = disk_candidates(200, 30)
     fset = disk_functional_set(geometry)
     idx = rng.choice(len(fset), size=50, replace=False)
-    G = gram([fset[i] for i in idx], SPEC)
-    assert np.allclose(G, G.T, rtol=0, atol=1e-12)
+    disk = [fset[i] for i in idx]
+    # a mixed set in d = 3, where the Bessel orders are not integers
+    ball = [(domain_op_delta if k % 2 else boundary_delta)(p, k)
+            for k, p in enumerate(rng.uniform(-0.6, 0.6, (20, 3)))]
+    for entries, spec in ((disk, SPEC), (disk, KernelSpec(m=6, d=2)),
+                          (ball, KernelSpec(m=4, d=3))):
+        G = gram(entries, spec)
+        # exact: picks at mirror ties depend on these bits
+        assert np.array_equal(G, G.T)
+        assert np.array_equal(G, [[dual_inner(a, b, spec) for b in entries]
+                                  for a in entries])
     # pivoted Cholesky completes through full rank for distinct functionals
-    _, _, rank, _ = dpstrf(G, tol=1e-10)
+    _, _, rank, _ = dpstrf(gram(disk, SPEC), tol=1e-10)
     assert rank == 50
 
 
