@@ -5,21 +5,26 @@ coefficient matrix C expressing the orthonormal functionals in terms of the
 selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
-is (N+2)|Lambda| floats plus C, an N x N buffer and the N column sums of |C|;
-the candidate set itself is d + 1 floats and a flag per candidate
-(FunctionalSet's packed arrays), with no Python object per candidate.
+is (N+2)|Lambda| floats plus C, the N column sums of |C| and, once the
+condition estimate is asked for, L = C^{-1}; the candidate set itself is
+d + 1 floats and a flag per candidate (FunctionalSet's packed arrays), with
+no Python object per candidate.  The Newton columns at the selected indices
+form L, the Cholesky factor of the selected Gram matrix (Mueller & Schaback
+2009): row k of L is (lam_{sel_k}, mu_j) for j <= k, which extend gathers
+anyway for its projection.
 A step costs one kernel column over the set, one N x |Lambda| matvec
 (O(N |Lambda|): one projection, as in the Newton-basis recursion of Pazouki
 & Schaback 2011) and O(N^2) for the C row and the trace's condition
 estimate: ||C||_1 comes from the column sums, which each step updates by its
-new row, and the Hager solves run on C copied into the buffer, which is
-reused from step to step.  With an evaluation grid a step adds one
-representer row over the P grid points and an O(N P) deflation of the grid
-powers.  `run` allocates the Newton columns, C, its buffer and the grid
-tracker's raw rows once for n_max rows and never copies them; np.zeros
-commits pages only as rows are written, so the rows a converged run never
-reaches cost no resident memory.  A state driven through init/extend
-directly grows its arrays by doubling.  The operator-delta half
+new row, and Hager's probes of ||C^{-1}||_1 are products with L, so the
+estimate solves nothing and copies nothing.  With an evaluation grid a step
+adds one representer row over the P grid points and an O(N P) deflation of
+the grid powers.  `run` allocates the Newton columns, C and the grid
+tracker's raw rows once for n_max rows, and L at C's capacity on its first
+condition estimate, and never copies them; np.zeros commits pages only as
+rows are written, so the rows a converged run never reaches cost no
+resident memory.  A state driven through init/extend directly grows its
+arrays by doubling.  The operator-delta half
 of a column is the bilaplacian at radii that recur from step to step, so the
 state keeps one table of them (functionals.BilaplacianTable) and each
 distinct radius is evaluated once per run, at the cost of one float pair of
@@ -88,11 +93,12 @@ class GreedyState:
         self.dd_table = BilaplacianTable(spec)
         self._columns = np.zeros((rows, len(fset)))
         self._c = np.zeros((rows, rows))
-        # column sums of |C|, one row added per step, and the contiguous
-        # operand of the condition estimate's triangular solves, sized to
-        # C's capacity when first needed
+        # column sums of |C|, one row added per step, and L = C^{-1}, whose
+        # first _l_rows rows cond_c has written; cond_c sizes it to C's
+        # capacity when it first needs it
         self._c_abs_sums = np.zeros(rows)
-        self._c_block = np.zeros(0)
+        self._l = np.zeros((0, 0))
+        self._l_rows = 0
 
     @property
     def n(self) -> int:
@@ -100,7 +106,8 @@ class GreedyState:
 
     @property
     def newton_columns(self) -> np.ndarray:
-        """(N, |Lambda|) matrix; row k holds (lam, mu_k) over the set."""
+        """(N, |Lambda|) matrix; row k holds (lam, mu_k) over the set.  A
+        restored state holds none (0 rows)."""
         return self._columns[: self.n]
 
     def c_matrix(self) -> np.ndarray:
@@ -113,16 +120,23 @@ class GreedyState:
 
         ||C||_1 comes from the running column sums of |C|, which equal
         np.abs(C).sum(axis=0) bit for bit (numpy reduces axis 0 of a
-        C-ordered array by adding row after row), and the leading N x N block
-        is copied into a buffer that is reused from step to step, so a step
-        allocates no N x N array."""
+        C-ordered array by adding row after row).  Hager's probes multiply
+        by L = C^{-1}, whose row k is Newton columns 0..k at the k-th pick.
+        Each call copies in the rows of the steps since the last one (one
+        row per call in a run) and reads the leading block of L in place,
+        so a step allocates no N x N array, and a state that never asks
+        holds no L.  A restored state has no Newton columns, so its
+        estimate solves with C instead."""
         n = self.n
-        if self._c_block.size < n * n:
-            self._c_block = np.zeros(len(self._c) ** 2)
-        block = self._c_block[: n * n].reshape(n, n)
-        block[...] = self._c[:n, :n]
         norm1 = float(self._c_abs_sums[:n].max()) if n else 0.0
-        return analysis.condition_estimate(block, norm1)
+        if len(self._columns) < n:
+            return analysis.condition_estimate(self._c[:n, :n], norm1)
+        if len(self._l) < n:
+            self._l = _with_capacity(self._l, len(self._c), self._l_rows, axes=2)
+        for k in range(self._l_rows, n):
+            self._l[k, : k + 1] = self._columns[: k + 1, self.selected[k]]
+        self._l_rows = n
+        return analysis.condition_estimate(self._l[:n, :n], norm1, inverse=True)
 
     def sigma(self) -> float:
         """Current sup of the power function over the candidate set."""
@@ -132,9 +146,10 @@ class GreedyState:
         """Floats allocated in the bulk arrays (storage-contract counter).
 
         A state sized for a run counts its n_max rows from the first step on,
-        whether or not their pages are committed yet."""
+        whether or not their pages are committed yet; L counts from the first
+        condition estimate, which allocates it."""
         return (self._columns.size + self._c.size + self._c_abs_sums.size
-                + self._c_block.size + self.diag.size + self.residual_power.size)
+                + self._l.size + self.diag.size + self.residual_power.size)
 
     def _reserve_row(self) -> None:
         """Make room for one more selected functional."""
@@ -156,12 +171,14 @@ def restore_state(fset: FunctionalSet, c_matrix, spec: KernelSpec) -> GreedyStat
     with the given N x N coefficient matrix (only its lower triangle is kept).
 
     Newton columns and residual powers are not reconstructed, so the state
-    serves the solver (basis evaluation, data transforms) and takes no
-    further greedy steps.  The caller checks that C matches the set.
+    holds no Newton columns, serves the solver (basis evaluation, data
+    transforms) and takes no further greedy steps.  The caller checks that C
+    matches the set.
     """
     n = len(fset)
-    state = GreedyState(fset, spec, rows=n)
+    state = GreedyState(fset, spec, rows=0)
     state._c = np.tril(np.atleast_2d(np.asarray(c_matrix, dtype=float)))
+    state._c_abs_sums = np.zeros(n)
     for row in state._c:  # as extend adds them, with no N x N temporary
         state._c_abs_sums += np.abs(row)
     state.selected = list(range(n))

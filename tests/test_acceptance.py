@@ -121,6 +121,18 @@ def test_orthonormality_at_m6(desk_m6):
     assert np.abs(C @ G @ C.T - np.eye(state.n)).max() <= 1e-6
 
 
+@pytest.mark.parametrize("name, bound", [("desk_m4", 1e-10), ("desk_m4_extended", 1e-10),
+                                         ("desk_m6", 1e-6)])
+def test_newton_factor_inverts_c(name, bound, request):
+    # the L that the cond_C estimate probes is C^{-1}: zero above the
+    # diagonal, and C L = I to roundoff (at m=6 within the bound of
+    # test_orthonormality_at_m6)
+    state = request.getfixturevalue(name)["state"]
+    L = state._l[: state.n, : state.n]
+    assert not np.triu(L, 1).any()
+    assert np.abs(state.c_matrix() @ L - np.eye(state.n)).max() <= bound
+
+
 def test_criterion_3_sigma_rates(desk_m4, desk_m5, desk_m6):
     slopes = {}
     for m, res in ((4, desk_m4), (5, desk_m5), (6, desk_m6)):

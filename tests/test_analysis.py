@@ -113,6 +113,21 @@ def test_condition_estimate_equals_solve_triangular_bits(rng, small_run):
         assert condition_estimate(L) == norm1 * _hager_through_solve_triangular(L)
 
 
+def test_condition_estimate_of_an_inverse_needs_the_norm_of_c():
+    L = np.tril(np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        condition_estimate(L, inverse=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_condition_estimate_of_an_inverse_rejects_non_finite(bad):
+    # norm1 is that of C, so the bad entry of C^{-1} shows in the probes
+    L = np.tril(np.ones((3, 3)))
+    L[2, 0] = bad
+    with pytest.raises(NumericalError):
+        condition_estimate(L, 1.0, inverse=True)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_condition_rejects_non_finite(bad):
     L = np.tril(np.ones((3, 3)))

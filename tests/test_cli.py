@@ -418,11 +418,12 @@ import sys
 from greedypde.cli import main
 cfg, out = sys.argv[1:]
 assert main(["build", "--config", cfg, "--out", out]) == 0
-print(" ".join(m for m in sys.modules if m.startswith("scipy.spatial")))
+print(" ".join(m for m in sys.modules if m.startswith(("scipy.spatial", "scipy.linalg"))))
 """
 
 
 def test_build_loads_no_scipy_spatial(tmp_path):
+    # nor scipy.linalg: the condition estimate probes L = C^{-1} with products
     src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("n_max = 40", "n_max = 5"))

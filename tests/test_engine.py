@@ -251,6 +251,23 @@ def test_standard_selection_ignores_the_evaluation_grid(m):
     assert np.isfinite(t1.rho).all() and np.isnan(t2.rho).all()
 
 
+def newton_factor(state) -> np.ndarray:
+    """L = C^{-1} as the Newton columns hold it: row k is columns 0..k at the
+    k-th pick."""
+    return np.tril(state.newton_columns[:, state.selected].T)
+
+
+def assert_hager_on_inverse(cond, C, L):
+    """cond is ||C||_1 times Hager's loop probed with L, bit for bit; it is
+    within roundoff of the loop that solves with C, and never above the
+    exact cond_1(C)."""
+    norm1 = float(np.abs(C).sum(axis=0).max())
+    assert cond == condition_estimate(L, norm1, inverse=True)
+    assert cond == pytest.approx(condition_estimate(C), rel=1e-13, abs=0.0)
+    exact = norm1 * float(np.abs(np.linalg.inv(C)).sum(axis=0).max())
+    assert cond <= exact * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("mode", ["standard", "extended"])
 @pytest.mark.parametrize("m", [4, 6])
 def test_cond_c_column_equals_condition_estimate_of_each_block(m, mode):
@@ -259,19 +276,33 @@ def test_cond_c_column_equals_condition_estimate_of_each_block(m, mode):
     grid = evaluation_grid(geometry, 0.1)
     state, trace = run(fset, KernelSpec(m=m, d=2), mode=mode, n_max=30,
                        eval_grid=grid)
-    C = state.c_matrix()
+    C, L = state.c_matrix(), newton_factor(state)
     assert len(trace.cond_c) == state.n == 30
     for k, cond in enumerate(trace.cond_c, start=1):
-        assert cond == condition_estimate(C[:k, :k]), k
+        assert_hager_on_inverse(cond, C[:k, :k], L[:k, :k])
 
 
 def test_cond_c_past_the_initial_capacity():
     # init/extend doubles C from 16 rows, which must carry the column sums
-    # of |C| and regrow the buffer the estimate solves in
-    state = init(toy_disk(120, 16), SPEC)
+    # of |C|; cond_c sizes L to C's capacity and copies in each new row
+    fset = toy_disk(120, 16)
+    state = init(fset, SPEC)
+    conds = []
     for _ in range(40):
         extend(state, select_standard(state))
-        assert state.cond_c() == condition_estimate(state.c_matrix()), state.n
+        conds.append(state.cond_c())
+        assert_hager_on_inverse(conds[-1], state.c_matrix(), newton_factor(state))
+    # a state that asks for cond_C only now and then holds no L before its
+    # first call, and each call copies in every row added since the last
+    late = init(fset, SPEC)
+    for step in range(1, 41):
+        extend(late, select_standard(late))
+        if step == 5:
+            before = late.bulk_float_count()
+            assert late.cond_c() == conds[4]
+            assert late.bulk_float_count() == before + 16**2
+        elif step in (23, 40):
+            assert late.cond_c() == conds[step - 1], step
     rng = np.random.default_rng(3)
     L = np.tril(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
     restored = restore_state(toy_three(), L, SPEC)
@@ -427,8 +458,8 @@ def test_run_holds_only_the_contract_arrays():
 
 
 def test_run_copies_no_coefficient_matrix_per_step(monkeypatch):
-    # the condition estimate reads the running column sums and the reused
-    # buffer, not a fresh copy of C
+    # the condition estimate reads the running column sums and L, not a
+    # fresh copy of C
     calls = []
     real = GreedyState.c_matrix
 
