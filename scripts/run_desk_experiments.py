@@ -17,10 +17,11 @@ import sys
 import numpy as np
 
 from greedypde.analysis import fit_rate, singular_values
-from greedypde.cli import basis_on_grid, cmd_build, cmd_solve, load_basis
+from greedypde.cli import cmd_build, cmd_solve, load_basis
 from greedypde.config import RunConfig
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.runio import read_table_csv, read_trace_csv
+from greedypde.solver import evaluate_basis
 
 
 def build_config(args, m, mode="standard"):
@@ -94,7 +95,7 @@ def main():
     state = load_basis(m4_dir, build_config(args, 4))
     geometry = disk_candidates(args.domain, args.boundary)
     grid = evaluation_grid(geometry, args.grid_spacing)
-    values = basis_on_grid(m4_dir, state, grid.points).values
+    values = evaluate_basis(state, grid.points).values
     sv = singular_values(values)
     idx = np.arange(1, len(sv) + 1, dtype=float)
     hi = min(150, len(sv))

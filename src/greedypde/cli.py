@@ -12,14 +12,16 @@ import argparse
 import contextlib
 import math
 import os
+import pathlib
 import shutil
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import runio, solver
 from .analysis import fit_rate
-from .config import RunConfig, dump_config, load_config
+from .config import RunConfig, dump_config, load_config, parse_pairs
 from .engine import GreedyState, restore_state, run
 from .errors import ConfigError, GreedyPDEError, NumericalError
 from .functionals import (
@@ -136,14 +138,6 @@ def _grid_row_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
             f"the representer rows of {selected_path}")
 
 
-def basis_on_grid(basis_dir: str, state: GreedyState,
-                  points: np.ndarray) -> solver.BasisEvaluation:
-    """The stored basis on the points, as one N x P array: C times the raw
-    representer rows, stored by `build` or computed (see _grid_row_blocks)."""
-    blocks, _ = _grid_row_blocks(basis_dir, state, points)
-    return solver.evaluate_basis(state, points, blocks)
-
-
 def _problem(cfg: RunConfig):
     if cfg.problem == "gaussian":
         return GaussianBump(center=cfg.problem_center, shape=cfg.problem_shape)
@@ -216,8 +210,8 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         )
         runio.write_grid_rows(os.path.join(tmp, "gridrows.npy"),
                               os.path.join(tmp, "gridrows.crc32"), trace.grid_rows)
-        runio.write_params(os.path.join(tmp, "kernel.txt"),
-                           {"m": cfg.m, "d": cfg.d, "scale": cfg.scale})
+        with open(os.path.join(tmp, "kernel.txt"), "w") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in asdict(spec).items()))
         with open(os.path.join(tmp, "config.txt"), "w") as fh:
             fh.write(dump_config(cfg))
         _write_analysis(tmp, trace)
@@ -227,19 +221,20 @@ def load_basis(basis_dir: str, cfg: RunConfig) -> GreedyState:
     """The basis that `build` stored under basis_dir, as a solver state.
 
     Raises ConfigError naming the file when the directory is not a build
-    output, its kernel parameters differ from the config's, or selected.txt
-    or cmatrix.csv is malformed or does not match the other.
+    output, the kernel parameters that kernel.txt sets (in the config
+    grammar) are not exactly the config's m, d and scale, or selected.txt or
+    cmatrix.csv is malformed or does not match the other.
     """
     kernel_path = os.path.join(basis_dir, "kernel.txt")
     if not os.path.exists(kernel_path):
         raise ConfigError(f"basis: {basis_dir!r} does not look like a build output")
-    params = _read_artifact(runio.read_params, kernel_path)
-    ours = {"m": cfg.m, "d": cfg.d, "scale": cfg.scale}
-    if any(params.get(k) != v for k, v in ours.items()):
+    params = _read_artifact(lambda p: parse_pairs(pathlib.Path(p).read_text()), kernel_path)
+    spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
+    ours = asdict(spec)
+    if params != ours:
         raise ConfigError(
             f"{kernel_path}: kernel parameters {params} do not match the config {ours}"
         )
-    spec = KernelSpec(m=cfg.m, d=cfg.d, scale=cfg.scale)
     selected_path = os.path.join(basis_dir, "selected.txt")
     fset = _read_artifact(lambda p: FunctionalSet(read_functionals(p)), selected_path)
     if fset.points.shape[1] != spec.d:

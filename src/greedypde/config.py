@@ -80,7 +80,7 @@ def _coerce(key: str, raw: str):
     if key == "problem_center":
         parts = [p for p in raw.replace(",", " ").split() if p]
         if len(parts) != 2:
-            raise ConfigError(f"problem_center: expected two coordinates, got {raw!r}")
+            raise ValueError(f"expected two coordinates, got {raw!r}")
         return (float(parts[0]), float(parts[1]))
     ftype = _FIELD_TYPES[key]
     if ftype == "str":
@@ -90,21 +90,33 @@ def _coerce(key: str, raw: str):
     return float(raw)
 
 
-def parse_config(text: str) -> RunConfig:
-    cfg = RunConfig()
+def parse_pairs(text: str) -> dict:
+    """The keys that the config text sets, with their values as typed by
+    RunConfig; a later line overrides an earlier one.  Raises ValueError on a
+    line without '=', an unknown key or a value of the wrong type."""
+    pairs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         try:
-            setattr(cfg, key, _coerce(key, raw))
+            pairs[key] = _coerce(key, raw)
         except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+            raise ValueError(f"{key}: {exc}") from exc
+    return pairs
+
+
+def parse_config(text: str) -> RunConfig:
+    try:
+        pairs = parse_pairs(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    cfg = RunConfig(**pairs)
     cfg.validate()
     return cfg
 

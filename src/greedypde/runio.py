@@ -1,6 +1,9 @@
 """Artifacts written by the CLI and read back by the package itself: run
 traces, matrices, power grids, grid representer rows, error/coefficient
-tables and reports."""
+tables and reports.
+
+Every CSV body is read by one loader, _read_rows.  kernel.txt is not here: it
+is three lines of the config grammar, read back with config.parse_pairs."""
 
 from __future__ import annotations
 
@@ -34,37 +37,21 @@ def write_trace_csv(path, trace: RunTrace) -> None:
 
 
 def read_trace_csv(path) -> RunTrace:
-    """A trace with at least one row of 7 fields; anything else raises
-    ValueError."""
-    steps, sigma, rho, kind, hd, hb, cc = [], [], [], [], [], [], []
+    """The trace write_trace_csv wrote: its header, then at least one row of
+    7 fields; anything else raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "N,sigma,rho,kind,h_domain,h_boundary,cond_C":
             raise ValueError(f"unexpected trace header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            f = line.split(",")
-            if len(f) != 7:
-                raise ValueError(f"expected 7 fields, got {len(f)} in {line!r}")
-            steps.append(int(f[0]))
-            sigma.append(float(f[1]))
-            rho.append(float(f[2]))
-            kind.append(f[3])
-            hd.append(float(f[4]))
-            hb.append(float(f[5]))
-            cc.append(float(f[6]))
-    if not steps:
-        raise ValueError("trace has no rows")
+        steps, sigma, rho, kind, hd, hb, cc = _read_rows(fh, dtype=str).T
     return RunTrace(
-        steps=np.array(steps),
-        sigma=np.array(sigma),
-        rho=np.array(rho),
-        kind=kind,
-        h_domain=np.array(hd),
-        h_boundary=np.array(hb),
-        cond_c=np.array(cc),
+        steps=steps.astype(int),
+        sigma=sigma.astype(float),
+        rho=rho.astype(float),
+        kind=kind.tolist(),
+        h_domain=hd.astype(float),
+        h_boundary=hb.astype(float),
+        cond_c=cc.astype(float),
     )
 
 
@@ -77,8 +64,8 @@ def write_matrix_csv(path, matrix) -> None:
                fmt=f"%{_FMT}", delimiter=",")
 
 
-def _read_rows(fh) -> np.ndarray:
-    """The comma-separated rows from fh's position on, as a 2-D array.
+def _read_rows(fh, dtype=float) -> np.ndarray:
+    """The comma-separated rows from fh's position on, as a 2-D array of dtype.
 
     Empty lines are skipped.  A body with no data row raises ValueError:
     np.loadtxt would only warn and return an empty array.
@@ -87,7 +74,7 @@ def _read_rows(fh) -> np.ndarray:
     if not any(line.strip() for line in iter(fh.readline, "")):
         raise ValueError("no data rows")
     fh.seek(start)
-    return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, dtype=dtype)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -191,33 +178,6 @@ def read_grid_row_blocks(path, checksum_path, shape, blocks):
                 raise ValueError("grid rows have a non-finite entry in columns "
                                  f"[{j.start}, {j.stop})")
             yield j, block
-
-
-# ---------------------------------------------------------------------------
-# key=value parameter files (kernel.txt)
-
-
-def write_params(path, params: dict) -> None:
-    with open(path, "w") as fh:
-        for k, v in params.items():
-            fh.write(f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n")
-
-
-def read_params(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"expected 'key = value', got {line!r}")
-            k, v = (p.strip() for p in line.split("=", 1))
-            try:
-                out[k] = int(v)
-            except ValueError:
-                out[k] = float(v)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -68,16 +68,14 @@ def representer_blocks(state: GreedyState, points) -> Iterator[tuple[slice, np.n
         yield j, raw
 
 
-def evaluate_basis(state: GreedyState, points, raw_blocks=None) -> BasisEvaluation:
-    """All basis functions on the points, C @ raw[:, J] for each (J, raw[:, J])
-    of raw_blocks (by default representer_blocks(state, points)), stacked
-    into one N x P array."""
+def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:
+    """All basis functions on the points as one N x P array: C @ raw[:, J]
+    for each block (J, raw[:, J]) of representer_blocks(state, points).  On
+    a build's grid they equal, bit for bit, C times the build's stored rows."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if raw_blocks is None:
-        raw_blocks = representer_blocks(state, pts)
     c = state.c_matrix()
     values = np.empty((state.n, len(pts)))
-    for j, raw in raw_blocks:
+    for j, raw in representer_blocks(state, pts):
         values[:, j] = c @ raw
     return BasisEvaluation(points=pts, values=values)
 

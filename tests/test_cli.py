@@ -20,9 +20,9 @@ import greedypde.cli
 import greedypde.solver
 from greedypde.cli import main
 from greedypde.config import RunConfig, load_config, parse_config
-from greedypde.engine import restore_state
+from greedypde.engine import restore_state, run
 from greedypde.errors import ConfigError, NumericalError
-from greedypde.functionals import FunctionalSet, read_functionals
+from greedypde.functionals import FunctionalSet, disk_functional_set, read_functionals
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import KernelSpec
 from greedypde.runio import (
@@ -30,6 +30,7 @@ from greedypde.runio import (
     read_table_csv,
     read_trace_csv,
     write_matrix_csv,
+    write_trace_csv,
 )
 from greedypde.solver import BLOCK, evaluate_basis, power_on_deltas
 
@@ -318,6 +319,32 @@ def test_solve_refuses_kernel_mismatch(built, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "'m': 5" in err and "'m': 6" in err  # both parameter sets printed
+
+
+def test_cli_round_trip_at_scale_0_3(tmp_path, capsys):
+    # the other CLI tests all run at scale 1
+    cfg = write_cfg(tmp_path, SMALL_CFG + "scale = 0.3\n")
+    basis = str(tmp_path / "basis")
+    assert main(["build", "--config", cfg, "--out", basis]) == 0
+    assert open(os.path.join(basis, "kernel.txt")).read() == "m = 5\nd = 2\nscale = 0.3\n"
+    fallback = str(tmp_path / "fallback")
+    shutil.copytree(basis, fallback)
+    os.remove(os.path.join(fallback, "gridrows.npy"))
+    stored, recomputed = str(tmp_path / "stored"), str(tmp_path / "recomputed")
+    assert main(["solve", "--config", cfg, "--basis", basis, "--out", stored]) == 0
+    assert main(["solve", "--config", cfg, "--basis", fallback, "--out", recomputed]) == 0
+    _assert_same_solve_outputs(stored, recomputed)
+    built = {name: open(os.path.join(basis, name), "rb").read()
+             for name in ("report.txt", "rates.csv")}
+    assert main(["report", "--config", cfg, "--out", basis]) == 0
+    for name, content in built.items():
+        assert open(os.path.join(basis, name), "rb").read() == content, name
+
+    near = write_cfg(tmp_path, SMALL_CFG + "scale = 0.30000000000000004\n", "near.cfg")
+    capsys.readouterr()
+    assert main(["solve", "--config", near, "--basis", basis,
+                 "--out", str(tmp_path / "near")]) == 2
+    assert "kernel.txt" in capsys.readouterr().err
 
 
 def test_solve_rejects_non_basis_directory(built, tmp_path):
@@ -651,6 +678,9 @@ def _reseal_grid_rows(basis):
     ("solve", "selected.txt", lambda t: "Q" + t[1:]),
     ("solve", "selected.txt", lambda t: t.replace("\n", " 0.5\n")),
     ("solve", "kernel.txt", lambda t: t + "junk\n"),
+    ("solve", "kernel.txt", lambda t: re.sub(r"^scale = .*\n", "", t, flags=re.M)),
+    ("solve", "kernel.txt", lambda t: t + "foo = 1\n"),
+    ("solve", "kernel.txt", lambda t: re.sub(r"^m = (\d+)$", r"m = \1.0", t, flags=re.M)),
     ("report", "trace.csv", lambda t: t.replace("cond_C", "cond", 1)),
     ("report", "trace.csv", lambda t: t + "4,0.5,nan\n"),
     ("report", "trace.csv", lambda t: t.splitlines(True)[0]),
@@ -674,6 +704,7 @@ def _reseal_grid_rows(basis):
         "cmatrix-nan", "cmatrix-inf", "cmatrix-upper-entry",
         "cmatrix-zero-diagonal", "cmatrix-negative-diagonal",
         "selected-unknown-kind", "selected-wrong-dimension", "kernel-no-equals",
+        "kernel-no-scale", "kernel-unknown-key", "kernel-float-m",
         "trace-bad-header", "trace-short-row", "trace-no-rows",
         "selected-nan-coordinate", "gridrows-truncated", "gridrows-row-count",
         "gridrows-nan", "gridrows-pickled", "gridrows-header-length", "cmatrix-empty",
@@ -864,6 +895,22 @@ def test_report_needs_trace(tmp_path):
 
 # ---------------------------------------------------------------------------
 # numerical failure exit code
+
+
+@pytest.mark.parametrize("with_grid", [True, False], ids=["grid", "no-grid"])
+def test_trace_round_trip_is_bit_identical(tmp_path, with_grid):
+    geometry = disk_candidates(200, 24)
+    grid = evaluation_grid(geometry, 0.1) if with_grid else None
+    _, trace = run(disk_functional_set(geometry), KernelSpec(m=5, d=2), n_max=30,
+                   eval_grid=grid)
+    assert np.isnan(trace.rho).all() != with_grid  # no grid, no rho
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    back = read_trace_csv(path)
+    for name in ("steps", "sigma", "rho", "h_domain", "h_boundary", "cond_c"):
+        ours, read = getattr(trace, name), getattr(back, name)
+        assert read.dtype == ours.dtype and read.tobytes() == ours.tobytes(), name
+    assert back.kind == trace.kind
 
 
 def test_matrix_round_trip(tmp_path, rng):

@@ -12,7 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_desk_experiments_script_runs(tmp_path):
     # the battery builds, solves and re-reads bases through the library
-    # (cmd_build, cmd_solve, load_basis, basis_on_grid, the rho column)
+    # (cmd_build, cmd_solve, load_basis, evaluate_basis, the rho column)
     src = os.path.dirname(os.path.dirname(greedypde.__file__))
     out = tmp_path / "exp"
     child = subprocess.run(
