@@ -33,7 +33,7 @@ from .functionals import (
     read_functionals,
     write_functionals,
 )
-from .geometry import disk_candidates, evaluation_grid
+from .geometry import DiskGeometry, circle_points, disk_candidates, evaluation_grid
 from .kernels import KernelSpec, radial_kernel
 
 
@@ -198,11 +198,16 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
             fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
             eval_grid=grid, y_indices=y_indices,
         )
+        # The writes need only the picks, C and the trace: the Newton
+        # columns, L and the rest of the selection state go first, so that
+        # the writes' buffers land below the run's peak.
+        selected, cmat = state.selected, state.c_matrix()
+        del state
 
         runio.write_trace_csv(os.path.join(tmp, "trace.csv"), trace)
         write_functionals(os.path.join(tmp, "selected.txt"),
-                          [fset[i] for i in state.selected])
-        runio.write_matrix_csv(os.path.join(tmp, "cmatrix.csv"), state.c_matrix())
+                          [fset[i] for i in selected])
+        runio.write_matrix_csv(os.path.join(tmp, "cmatrix.csv"), cmat)
         runio.write_table_csv(
             os.path.join(tmp, "powergrid.csv"),
             ["x1", "x2", "p2_delta"],
@@ -274,8 +279,11 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
         state = load_basis(basis_dir, cfg)
         problem = _problem(cfg)
 
-        geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
-        grid = evaluation_grid(geometry, cfg.grid_spacing)
+        # the build's grid needs only its boundary sample, not the lattice
+        # of domain candidates
+        boundary = circle_points(cfg.boundary_count)
+        grid = evaluation_grid(DiskGeometry(np.empty((0, 2)), boundary),
+                               cfg.grid_spacing)
         data = data_vector(state.fset, range(state.n), problem)
         mu = solver.data_to_newton(state, data)
         u_true = problem.value(grid.points)
@@ -284,8 +292,10 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
         # partial sums and then their errors in place, and only per-point
         # results and the running maximum error per N are kept.  The values
         # of every block share one buffer, and the raw rows, no longer needed
-        # once multiplied, take the squares, so a solve holds two blocks
-        # beside O(N^2 + P) arrays and faults their pages in once.
+        # once multiplied, take the squares.  So the loop holds the state's
+        # C, two blocks and O(P) arrays, and faults the blocks' pages in
+        # once; it is the solve's peak, since both block buffers go before
+        # the check and the writes.
         blocks, source = _grid_row_blocks(basis_dir, state, grid.points)
         c = state.c_matrix()
         p2 = np.empty(len(grid.points))
@@ -301,6 +311,9 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
             u_approx[j] = values[-1]
             np.subtract(u_true[j], values, out=values)
             np.maximum(errors, np.abs(values, out=values).max(axis=1), out=errors)
+        # the reader has finished, so the last block is the only hold on its
+        # buffer
+        del raw, values, flat
         _check_power(p2, state.spec, grid.points,
                      os.path.join(basis_dir, "cmatrix.csv"), source)
         p_delta = np.sqrt(np.maximum(p2, 0.0))

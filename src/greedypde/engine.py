@@ -24,11 +24,14 @@ tracker's raw rows once for n_max rows, and L at C's capacity on its first
 condition estimate, and never copies them; np.zeros commits pages only as
 rows are written, so the rows a converged run never reaches cost no
 resident memory.  A state driven through init/extend directly grows its
-arrays by doubling.  The operator-delta half
-of a column is the bilaplacian at radii that recur from step to step, so the
-state keeps one table of them (functionals.BilaplacianTable) and each
-distinct radius is evaluated once per run, at the cost of one float pair of
-storage per distinct radius.
+arrays by doubling.  Nor does any reader copy C: c_matrix is a read-only
+view of its storage, so the solver and the CLI hold C once per process,
+and a build's peak is the run's last step (the CLI frees the state,
+keeping that view and the trace, before it writes the artifacts).  The
+operator-delta half of a column is the bilaplacian at radii that recur from
+step to step, so the state keeps one table of them
+(functionals.BilaplacianTable) and each distinct radius is evaluated once
+per run, at the cost of one float pair of storage per distinct radius.
 
 The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
@@ -111,9 +114,15 @@ class GreedyState:
         return self._columns[: self.n]
 
     def c_matrix(self) -> np.ndarray:
-        """Dense lower-triangular copy of the coefficient matrix (the storage
-        above the diagonal is never written, so it is zero)."""
-        return self._c[: self.n, : self.n].copy()
+        """The coefficient matrix as a read-only view of the leading N x N
+        block of the state's storage, lower-triangular (the storage above the
+        diagonal is never written, so it is zero).  Each row is written once,
+        by the step that adds it, so the view never changes: later steps
+        write below it, and a state that grows its storage leaves the view
+        on the old array.  No caller copies C, so a process holds it once."""
+        view = self._c[: self.n, : self.n]
+        view.flags.writeable = False
+        return view
 
     def cond_c(self) -> float:
         """analysis.condition_estimate of the coefficient matrix.

@@ -49,9 +49,15 @@ def disk_candidates(target_domain_count: int, target_boundary_count: int) -> Dis
     if target_domain_count < 1 or target_boundary_count < 1:
         raise ValueError("candidate counts must be >= 1")
     domain = _disk_grid(math.sqrt(math.pi / target_domain_count))
-    ang = 2.0 * math.pi * np.arange(target_boundary_count) / target_boundary_count
-    boundary = np.column_stack([np.cos(ang), np.sin(ang)])
-    return DiskGeometry(domain_points=domain, boundary_points=boundary)
+    return DiskGeometry(domain_points=domain,
+                        boundary_points=circle_points(target_boundary_count))
+
+
+def circle_points(count: int) -> np.ndarray:
+    """The boundary sample of disk_candidates: count points on the unit
+    circle at angles 2*pi*k/count."""
+    ang = 2.0 * math.pi * np.arange(count) / count
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 def _cross(o, a, b) -> float:

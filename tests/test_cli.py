@@ -489,6 +489,66 @@ def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
         assert peak <= 2 * block_bytes + 1_000_000, (basis, peak / block_bytes)
 
 
+# 200 picks of a 330-candidate desk set: C is 320 kB, more than the slack of
+# the memory tests below, so one more copy of it shows
+_WIDE_C_CFG = SMALL_CFG.replace("n_max = 40", "n_max = 200")
+
+
+def test_solve_holds_c_once(tmp_path):
+    # a coarse grid keeps the blocks small beside C
+    cfg = write_cfg(tmp_path, _WIDE_C_CFG.replace("grid_spacing = 0.08", "grid_spacing = 0.1"))
+    stored = str(tmp_path / "stored")
+    assert main(["build", "--config", cfg, "--out", stored]) == 0
+    recomputed = str(tmp_path / "recomputed")
+    shutil.copytree(stored, recomputed)
+    os.remove(os.path.join(recomputed, "gridrows.npy"))
+    n, n_points = np.load(os.path.join(stored, "gridrows.npy")).shape
+    assert n == 200
+    c_bytes = 8 * n * n
+    widest = max(j.stop - j.start for j in greedypde.solver.grid_blocks(n_points))
+    # the reader's finiteness mask of a block (N x widest bytes), the O(P)
+    # per-point arrays and the CSV rows
+    slack = 2**18
+    assert c_bytes > slack
+    for k, basis in enumerate((stored, recomputed)):
+        assert main(["solve", "--config", cfg, "--basis", basis,
+                     "--out", str(tmp_path / f"warm{k}")]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["solve", "--config", cfg, "--basis", basis,
+                         "--out", str(tmp_path / f"s{k}")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = 2 * 8 * n * widest + c_bytes
+        assert peak <= budget + slack, (basis, (peak - budget) / c_bytes)
+
+
+def test_build_writes_below_the_runs_peak(tmp_path, monkeypatch):
+    # the writes come after the selection state is freed, so they reach no
+    # new high-water mark; a copy of C beside the Newton columns would
+    cfg_path = write_cfg(tmp_path, _WIDE_C_CFG)
+    assert main(["build", "--config", cfg_path, "--out", str(tmp_path / "warm")]) == 0
+    cfg = load_config(cfg_path)
+    at_run_end = []
+
+    def traced_run(*args, **kwargs):
+        result = run(*args, **kwargs)
+        at_run_end.append(tracemalloc.get_traced_memory()[1])
+        return result
+
+    monkeypatch.setattr(greedypde.cli, "run", traced_run)
+    tracemalloc.start()
+    try:
+        greedypde.cli.cmd_build(cfg, str(tmp_path / "b"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(read_functionals(str(tmp_path / "b" / "selected.txt"))) == cfg.n_max
+    c_bytes = 8 * cfg.n_max**2
+    assert peak - at_run_end[0] < c_bytes / 4, (peak - at_run_end[0]) / c_bytes
+
+
 @pytest.fixture(scope="module")
 def grid_bases(tmp_path_factory):
     """Bases built on a grid of fewer than BLOCK points and on one of more than

@@ -435,6 +435,29 @@ def test_restore_state_round_trip(small_run, tmp_path):
             == evaluate_basis(state, points).values.tobytes())
 
 
+def test_c_matrix_is_a_read_only_view_with_the_copys_bits(small_run):
+    # a run state, a state grown past its rows (so the view strides over
+    # spare columns) and a restored state: each hands out its own storage,
+    # bit for bit what a copy of the leading block holds, and refuses writes
+    state, spec = small_run["state"], small_run["spec"]
+    grown = init(small_run["fset"], spec)
+    for _ in range(20):
+        extend(grown, select_standard(grown))
+    sel = state.selected
+    restored = restore_state(
+        FunctionalSet.from_arrays(state.fset.points[sel], state.fset.domain_mask[sel]),
+        state.c_matrix(), spec)
+    for s in (state, grown, restored):
+        c = s.c_matrix()
+        copy = s._c[: s.n, : s.n].copy()
+        assert c.shape == copy.shape and c.tobytes() == copy.tobytes()
+        assert np.shares_memory(c, s._c)
+        with pytest.raises(ValueError):
+            c[-1, 0] = 1.0
+        assert s._c[s.n - 1, 0] == copy[-1, 0]
+    assert not grown.c_matrix().flags.c_contiguous
+
+
 def test_run_holds_only_the_contract_arrays():
     # a run sizes its Newton columns, C and grid rows once for n_max, so its
     # traced peak stays near (n_max + 2)|Lambda| + n_max P floats instead of
