@@ -22,7 +22,7 @@ import numpy as np
 from . import runio, solver
 from .analysis import fit_rate
 from .config import RunConfig, dump_config, load_config, parse_pairs
-from .engine import GreedyState, restore_state, run
+from .engine import GreedyState, representer_blocks, restore_state, run
 from .errors import ConfigError, GreedyPDEError, NumericalError
 from .functionals import (
     FunctionalSet,
@@ -96,11 +96,12 @@ def _read_artifact(reader, path: str, *args):
 
 def _read_c_matrix(path: str) -> np.ndarray:
     """cmatrix.csv, checked to be a valid Newton change of basis: finite and
-    lower-triangular with a strictly positive diagonal."""
+    lower-triangular with a strictly positive diagonal.  The checks go row
+    by row, so that they allocate nothing of C's size."""
     cmat = runio.read_matrix_csv(path)
-    if not np.isfinite(cmat).all():
+    if not all(np.isfinite(row).all() for row in cmat):
         raise ValueError("C has a non-finite entry")
-    if np.triu(cmat, 1).any():
+    if any(row[k + 1:].any() for k, row in enumerate(cmat)):
         raise ValueError("C is not lower-triangular")
     if not (np.diagonal(cmat) > 0.0).all():
         raise ValueError("C needs a strictly positive diagonal")
@@ -120,8 +121,7 @@ def _grid_row_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
     When the basis directory holds gridrows.npy with its checksum
     gridrows.crc32, and its build grid (the x1,x2 columns of powergrid.csv)
     is exactly these points, the rows are read from the file block by block,
-    and no kernel is evaluated; otherwise solver.representer_blocks computes
-    them.
+    and no kernel is evaluated; otherwise representer_blocks computes them.
     """
     rows_path = os.path.join(basis_dir, "gridrows.npy")
     crc_path = os.path.join(basis_dir, "gridrows.crc32")
@@ -134,7 +134,7 @@ def _grid_row_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
                                         solver.grid_blocks(len(points)))
             return blocks, rows_path
     selected_path = os.path.join(basis_dir, "selected.txt")
-    return (solver.representer_blocks(state, points),
+    return (representer_blocks(state, points),
             f"the representer rows of {selected_path}")
 
 
@@ -194,11 +194,16 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         y_size = min(cfg.y_size, grid.n_interior)
         y_indices = np.unique(np.linspace(0, grid.n_interior - 1, y_size).astype(int))
 
-        state, trace = run(
-            fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
-            eval_grid=grid, y_indices=y_indices,
-        )
-        # The writes need only the picks, C and the trace: the Newton
+        # The run's last pass over the grid writes each block of the raw
+        # representer rows into gridrows.npy, so no N x P array is held.
+        with runio.write_grid_row_blocks(os.path.join(tmp, "gridrows.npy"),
+                                         os.path.join(tmp, "gridrows.crc32"),
+                                         len(grid)) as grid_row_sink:
+            state, trace = run(
+                fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
+                eval_grid=grid, y_indices=y_indices, grid_row_sink=grid_row_sink,
+            )
+        # The other writes need only the picks, C and the trace: the Newton
         # columns, L and the rest of the selection state go first, so that
         # the writes' buffers land below the run's peak.
         selected, cmat = state.selected, state.c_matrix()
@@ -213,8 +218,6 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
             ["x1", "x2", "p2_delta"],
             [grid.points[:, 0], grid.points[:, 1], trace.grid_power],
         )
-        runio.write_grid_rows(os.path.join(tmp, "gridrows.npy"),
-                              os.path.join(tmp, "gridrows.crc32"), trace.grid_rows)
         with open(os.path.join(tmp, "kernel.txt"), "w") as fh:
             fh.write("".join(f"{k} = {v}\n" for k, v in asdict(spec).items()))
         with open(os.path.join(tmp, "config.txt"), "w") as fh:

@@ -17,34 +17,40 @@ A step costs one kernel column over the set, one N x |Lambda| matvec
 & Schaback 2011) and O(N^2) for the C row and the trace's condition
 estimate: ||C||_1 comes from the column sums, which each step updates by its
 new row, and Hager's probes of ||C^{-1}||_1 are products with L, so the
-estimate solves nothing and copies nothing.  With an evaluation grid a step
-adds one representer row over the P grid points and an O(N P) deflation of
-the grid powers.  `run` allocates the Newton columns, C and the grid
-tracker's raw rows once for n_max rows, and L at C's capacity on its first
+estimate solves nothing and copies nothing.  `run` allocates the Newton
+columns and C once for n_max rows, and L at C's capacity on its first
 condition estimate, and never copies them; np.zeros commits pages only as
 rows are written, so the rows a converged run never reaches cost no
 resident memory.  A state driven through init/extend directly grows its
 arrays by doubling.  Nor does any reader copy C: c_matrix is a read-only
-view of its storage, so the solver and the CLI hold C once per process,
-and a build's peak is the run's last step (the CLI frees the state,
-keeping that view and the trace, before it writes the artifacts).  The
-operator-delta half of a column is the bilaplacian at radii that recur from
-step to step, so the state keeps one table of them
+view of its storage, so the solver and the CLI hold C once per process.
+The operator-delta half of a column is the bilaplacian at radii that recur
+from step to step, so the state keeps one table of them
 (functionals.BilaplacianTable) and each distinct radius is evaluated once
 per run, at the cost of one float pair of storage per distinct radius.
 
 The standard rule picks the residual-power argmax over the whole set; the
 extended rule prefers the strongest boundary delta whenever the delta power
-over an evaluation point set peaks on the boundary.  Given an evaluation
-grid, a tracker deflates the delta power P^2(delta_x) over the grid by each
-basis row in the step that adds it and records rho, the sup of the remaining
-delta power, after each row; that record is the trace's rho column.  The run
-hands the final grid powers and the raw representer rows back in the trace.
+P^2(delta_x) over the interior evaluation points Y peaks on the boundary.
+So a step reads no grid value in standard mode, and in extended mode the
+run keeps the representer rows at Y only (N x |Y|) and deflates the delta
+power there by each basis row in the step that adds it.  Everything else
+an evaluation grid gives comes from one pass after the last step, block by
+block over the grid (representer_blocks): the pass forms each basis row on
+a block as C[k, :k+1] @ raw[:k+1, J] and deflates the block's delta power
+by it, which is the same O(N^2 P) work a per-step deflation does; in
+extended mode it copies the rows at Y instead of evaluating them again.  The
+largest power over the grid after each row is the trace's rho column, and
+the final powers are its grid_power.  Each block of raw rows goes to the
+caller's sink once used (the CLI writes gridrows.npy from it), so a run
+holds one N x |J| block, never an N x P array, and its peak is the pass
+beside the state's arrays.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +61,7 @@ from .functionals import (
     BilaplacianTable,
     FunctionalSet,
     dual_inner_column,
+    representer_rows,
     riesz_value,
     self_inner_column,
 )
@@ -70,6 +77,19 @@ _NEGATIVE_FLOOR = 1e-6
 # Rows allocated up front for the per-step arrays of a state that is not
 # sized for a run; they double when full.
 _INITIAL_CAPACITY = 16
+
+# A grid is taken in blocks that start at multiples of BLOCK, the remainder
+# folded into the last block (BLOCK to 2 BLOCK - 1 points wide).  For such
+# blocks OpenBLAS gives C @ raw[:, J] the bits of the same columns of the
+# one-product C @ raw; blocks that start elsewhere, or a narrower last block,
+# can differ in the last bit.
+BLOCK = 512
+
+# Selected functionals of one kind per radial call in representer_blocks:
+# one call per functional pays the per-call overhead once per row, while
+# more than 4 per call make the call's temporaries outgrow a solve's block
+# budget.
+_GROUP = 4
 
 
 def _with_capacity(arr: np.ndarray, cap: int, n: int, axes: int = 1) -> np.ndarray:
@@ -177,7 +197,8 @@ def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
 
 def restore_state(fset: FunctionalSet, c_matrix, spec: KernelSpec) -> GreedyState:
     """State of a stored basis: the whole set is the selection, in order,
-    with the given N x N coefficient matrix (only its lower triangle is kept).
+    with the given N x N coefficient matrix (only its lower triangle is kept;
+    an array that is zero above the diagonal is kept as it is, not copied).
 
     Newton columns and residual powers are not reconstructed, so the state
     holds no Newton columns, serves the solver (basis evaluation, data
@@ -186,7 +207,12 @@ def restore_state(fset: FunctionalSet, c_matrix, spec: KernelSpec) -> GreedyStat
     """
     n = len(fset)
     state = GreedyState(fset, spec, rows=0)
-    state._c = np.tril(np.atleast_2d(np.asarray(c_matrix, dtype=float)))
+    c = np.atleast_2d(np.asarray(c_matrix, dtype=float))
+    # a C that is already zero above the diagonal (as the CLI reads it, or a
+    # state's read-only c_matrix view) is kept, not copied
+    if any(row[k + 1:].any() for k, row in enumerate(c)):
+        c = np.tril(c)
+    state._c = c
     state._c_abs_sums = np.zeros(n)
     for row in state._c:  # as extend adds them, with no N x N temporary
         state._c_abs_sums += np.abs(row)
@@ -271,11 +297,9 @@ class RunTrace:
 
     `rho` is the sup of the delta power over the evaluation grid after each
     step, and NaN at every step of a run without a grid.
-    `boundary_power_max` (max residual power over the boundary deltas),
-    `grid_power` (final P^2(delta_x) per evaluation-grid point) and
-    `grid_rows` (the raw representer rows of the selected functionals on the
-    evaluation grid, N x P, a view of the tracker's storage) are in-memory
-    results, not part of the CSV schema; the last two are None without a grid.
+    `boundary_power_max` (max residual power over the boundary deltas) and
+    `grid_power` (final P^2(delta_x) per evaluation-grid point, None without
+    a grid) are in-memory results, not part of the CSV schema.
     """
 
     steps: np.ndarray
@@ -287,45 +311,107 @@ class RunTrace:
     cond_c: np.ndarray
     boundary_power_max: np.ndarray | None = field(default=None, repr=False)
     grid_power: np.ndarray | None = field(default=None, repr=False)
-    grid_rows: np.ndarray | None = field(default=None, repr=False)
 
     def boundary_count(self) -> int:
         return sum(1 for k in self.kind if k == "B")
 
 
-class _GridTracker:
-    """Residual delta powers on a point grid, deflated by each basis row as
-    the run adds it.  `rho[k]` is sqrt(max residual) after row k."""
+def grid_blocks(n_points: int) -> list[slice]:
+    """The column blocks of a grid of n_points, in order."""
+    starts = [k * BLOCK for k in range(max(n_points // BLOCK, 1))]
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_points])]
 
-    def __init__(self, grid: EvalGrid, spec: KernelSpec, rows: int):
-        self.points = grid.points
-        self.spec = spec
-        p = len(grid)
-        self.residual = np.full(p, radial_kernel(spec, 0.0))
-        self._raw = np.zeros((rows, p))
-        self.rho: list[float] = []
 
-    def append(self, f, c_row: np.ndarray) -> None:
-        """Add the representer row of the selected functional f and deflate
-        the grid residual by the basis row c_row @ raw, recording rho."""
-        k = len(self.rho)
-        self._raw[k] = riesz_value(f, self.points, self.spec)
-        row = c_row @ self._raw[: k + 1]
-        np.maximum(self.residual - row**2, 0.0, out=self.residual)
-        self.rho.append(math.sqrt(float(self.residual.max())))
+def representer_blocks(state: GreedyState, points,
+                       known=None) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (J, raw[:, J]) for each block J of the points (grid_blocks): the
+    representer rows of the selected functionals on points[J], equal to
+    riesz_value(f, points[J]) bit for bit, from which the basis values on the
+    block are C @ raw[:, J].  The rows of each kind are evaluated _GROUP
+    functionals at a time, one representer_rows call per group and block.
+    known, when given, is (cols, rows): the rows already evaluated at
+    points[cols] (cols increasing, rows N x |cols|), which are copied, not
+    evaluated again.  Every block is a view of one buffer: the caller may use
+    it, as scratch too, until it asks for the next block, which overwrites
+    it."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    blocks = grid_blocks(len(pts))
+    cols, known_rows = (np.zeros(0, dtype=int), None) if known is None else known
+    sel = np.asarray(state.selected, dtype=int)
+    centers = state.fset.points[sel]
+    groups = []
+    for operator_delta in (False, True):
+        rows = np.flatnonzero(state.fset.domain_mask[sel] == operator_delta)
+        groups += [(operator_delta, rows[i : i + _GROUP])
+                   for i in range(0, rows.size, _GROUP)]
+    flat = np.empty(state.n * max(j.stop - j.start for j in blocks))
+    for j in blocks:
+        width = j.stop - j.start
+        raw = flat[: state.n * width].reshape(state.n, width)
+        lo, hi = np.searchsorted(cols, (j.start, j.stop))
+        if lo == hi:
+            for operator_delta, rows in groups:
+                raw[rows] = representer_rows(centers[rows], operator_delta, pts[j],
+                                             state.spec)
+        else:
+            have = cols[lo:hi] - j.start
+            raw[:, have] = known_rows[:, lo:hi]
+            rest = np.delete(np.arange(width), have)
+            for operator_delta, rows in groups:
+                raw[rows[:, None], rest] = representer_rows(
+                    centers[rows], operator_delta, pts[j][rest], state.spec)
+        yield j, raw
+
+
+def _deflate(power: np.ndarray, c_row: np.ndarray, raw: np.ndarray) -> None:
+    """Deflate delta powers in place by the basis row c_row @ raw, clamping
+    at 0."""
+    row = c_row @ raw
+    np.subtract(power, np.square(row, out=row), out=power)
+    np.maximum(power, 0.0, out=power)
+
+
+def _grid_pass(state: GreedyState, points: np.ndarray,
+               sink: Callable[[slice, np.ndarray], None] | None, known=None,
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, grid_power) of the state's basis on the points, one block of
+    representer_blocks at a time.  A block's delta powers start at K(0) and
+    are deflated by each basis row in the order the run added them, row k
+    being C[k, :k+1] @ raw[:k+1, J]; rho[k] is the square root of the largest
+    power over the grid after row k, and grid_power holds the powers after
+    the last row.  sink, when given, gets each (J, raw[:, J]) once its rows
+    are used; known is passed to representer_blocks."""
+    n = state.n
+    power = np.full(len(points), radial_kernel(state.spec, 0.0))
+    peak = np.zeros(n)
+    block_peak = np.empty(n)
+    for j, raw in representer_blocks(state, points, known):
+        block_power = power[j]
+        for k in range(n):
+            _deflate(block_power, state._c[k, : k + 1], raw[: k + 1])
+            block_peak[k] = block_power.max()
+        np.maximum(peak, block_peak, out=peak)
+        if sink is not None:
+            sink(j, raw)
+    return np.sqrt(peak), power
 
 
 def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         n_max: int | None = None, stop_tol: float = 1e-12,
-        eval_grid: EvalGrid | None = None,
-        y_indices=None) -> tuple[GreedyState, RunTrace]:
+        eval_grid: EvalGrid | None = None, y_indices=None,
+        grid_row_sink: Callable[[slice, np.ndarray], None] | None = None,
+        ) -> tuple[GreedyState, RunTrace]:
     """Execute the selection loop and record the per-step trace.
 
     Stops at n_max or when the residual power drops to stop_tol * max(diag).
-    `eval_grid` enables the rho column, the final `grid_power` and
-    `grid_rows`, and is required in extended mode, where `y_indices`
-    restricts the interior evaluation points considered for selection
-    (default: all of them).
+    `eval_grid` enables the rho column and the final `grid_power`, which one
+    pass over the grid's blocks computes after the last step, and is
+    required in extended mode, where `y_indices` restricts the interior
+    evaluation points considered for selection (default: all of them).
+    `grid_row_sink`, given a grid, is called as grid_row_sink(J, raw) for
+    each block J of the pass, in order, with raw the N x |J| representer
+    rows of the selected functionals on the block (a buffer that the next
+    block overwrites, as in representer_blocks).
     """
     if mode not in ("standard", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -336,10 +422,15 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         raise ValueError("extended mode needs an evaluation grid")
 
     state = GreedyState(fset, spec, rows=n_max)
-    tracker = _GridTracker(eval_grid, spec, n_max) if eval_grid is not None else None
-    if tracker is not None:
-        y_indices = (np.arange(eval_grid.n_interior) if y_indices is None
-                     else np.asarray(y_indices, dtype=int))
+    if mode == "extended":
+        # the rule reads the delta power only at the points Y, so only their
+        # representer rows are kept, in grid order so that the grid pass can
+        # copy them
+        y_indices = np.unique(np.arange(eval_grid.n_interior) if y_indices is None
+                              else np.asarray(y_indices, dtype=int))
+        y_points = eval_grid.points[y_indices]
+        y_raw = np.zeros((n_max, len(y_points)))
+        y_power = np.full(len(y_points), radial_kernel(spec, 0.0))
 
     bnd_idx = fset.boundary_indices
     dom_mask = fset.domain_mask
@@ -355,7 +446,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     for _ in range(n_max):
         try:
             if mode == "extended":
-                y_max = float(tracker.residual[y_indices].max())
+                y_max = float(y_power.max())
                 z_max = float(state.residual_power[bnd_idx].max()) if bnd_idx.size else -np.inf
                 on_boundary = z_max >= y_max
                 chosen = select_extended(state, on_boundary, stop_tol)
@@ -368,8 +459,10 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         # one distance vector serves the kernel column and the fill distance
         dist = distance(fset.points, fset.points[chosen])
         extend(state, chosen, dist)
-        if tracker is not None:
-            tracker.append(fset[chosen], state._c[state.n - 1, : state.n])
+        if mode == "extended":
+            k = state.n - 1
+            y_raw[k] = riesz_value(fset[chosen], y_points, spec)
+            _deflate(y_power, state._c[k, : k + 1], y_raw[: k + 1])
 
         own = kind_masks[is_boundary]
         np.minimum(nearest, dist, out=nearest, where=own)
@@ -384,16 +477,21 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
                             else math.nan)
 
     n_steps = len(rows["sigma"])
+    if eval_grid is not None:
+        # the rows at Y are already evaluated
+        known = (y_indices, y_raw[: state.n]) if mode == "extended" else None
+        rho, grid_power = _grid_pass(state, eval_grid.points, grid_row_sink, known)
+    else:
+        rho, grid_power = np.full(n_steps, math.nan), None
     trace = RunTrace(
         steps=np.arange(1, n_steps + 1),
         sigma=np.array(rows["sigma"]),
-        rho=np.array(tracker.rho) if tracker is not None else np.full(n_steps, math.nan),
+        rho=rho,
         kind=rows["kind"],
         h_domain=np.array(rows["h_domain"]),
         h_boundary=np.array(rows["h_boundary"]),
         cond_c=np.array(rows["cond_c"]),
         boundary_power_max=np.array(rows["bmax"]),
-        grid_power=tracker.residual if tracker is not None else None,
-        grid_rows=tracker._raw[: len(tracker.rho)] if tracker is not None else None,
+        grid_power=grid_power,
     )
     return state, trace

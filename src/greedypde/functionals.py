@@ -275,13 +275,25 @@ def riesz_value(f: Functional, x, spec: KernelSpec):
 
     The Bessel stack is seeded with Cephes k0/k1, about three times cheaper
     per radius than the kv seeds of the dual inner products, so v_f(x)
-    equals dual_inner(f, delta_x) to roundoff, not bit for bit.  The grid
-    tracker's row at each build step (engine), the basis values on a grid
-    (solver.representer_blocks) and the collocation oracle read it; no
-    standard-mode pick does.
+    equals dual_inner(f, delta_x) to roundoff, not bit for bit.  The
+    extended rule's rows over its interior points at each build step
+    (engine.run) and the collocation oracle read it; grid rows come from
+    representer_rows, which gives the same bits.  No standard-mode pick
+    reads either.
     """
     t = scaled_distance(spec, x, f.point)
     return _RADIAL_BY_DELTAS[f.kind == DOMAIN_OP_DELTA](spec, t, cephes=True)
+
+
+def representer_rows(centers: np.ndarray, operator_delta: bool, x,
+                     spec: KernelSpec) -> np.ndarray:
+    """Representer rows of several functionals of one kind, from one call of
+    their radial form: row i is v_f(x) for the functional f at centers[i]
+    (an operator delta when operator_delta holds, else a boundary delta),
+    equal to riesz_value(f, x) bit for bit, since the radial forms are
+    elementwise in the scaled radius.  centers is (g, d), x is (P, d)."""
+    t = scaled_distance(spec, x, np.asarray(centers)[:, None, :])
+    return _RADIAL_BY_DELTAS[operator_delta](spec, t, cephes=True)
 
 
 # ---------------------------------------------------------------------------

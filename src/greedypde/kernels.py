@@ -46,14 +46,15 @@ per order.  Two seed pairs serve two kinds of value:
   the kv seeds themselves are off by up to 5.7e-14 relative, and from
   t = 697.9 on they are 0; radii in the unit disk reach that far only for
   scale < 1/300.
-- Representer rows (functionals.riesz_value: the grid tracker's rows and
+- Representer rows (functionals.riesz_value and representer_rows: the
+  build's grid pass, the extended rule's rows at its interior points and
   the basis values) seed with Cephes k0(t) and k1(t) (`cephes=True`): each
   seed costs about 60 ns a radius against about 200 ns for a kv call.
   Cephes is slightly more accurate than kv against 40-digit mpmath, and
   stays so up to t = 705, past where kv fails; the rows agree with the
   kv-seeded values to roundoff, not bit for bit.  No standard-mode pick
-  reads them; the extended rule compares their grid powers with the
-  candidates' residual powers.
+  reads them; the extended rule compares the delta powers they give at its
+  interior points with the candidates' residual powers.
 
 SciPy loads on the first Bessel call, not when this module is imported: a
 `solve` from stored grid rows evaluates the kernel only at t = 0 (for

@@ -7,6 +7,7 @@ is three lines of the config grammar, read back with config.parse_pairs."""
 
 from __future__ import annotations
 
+import contextlib
 import tokenize
 import zlib
 
@@ -110,8 +111,29 @@ def _file_crc32(path) -> int:
     return crc
 
 
-def write_grid_rows(path, checksum_path, rows: np.ndarray) -> None:
-    np.save(path, rows)
+@contextlib.contextmanager
+def write_grid_row_blocks(path, checksum_path, n_cols: int):
+    """Yield write(J, rows[:, J]), which stores column block J of a C-ordered
+    N x n_cols float64 array in the .npy file at path, one segment per row,
+    where read_grid_row_blocks reads it back; N is the row count of the first
+    block written.  Once the blocks cover every column, the file holds the
+    bytes np.save writes for the array.  When the with statement ends without
+    an error, checksum_path gets the file's CRC-32."""
+    with open(path, "wb") as fh:
+        data_start = None
+
+        def write(j: slice, block: np.ndarray) -> None:
+            nonlocal data_start
+            if data_start is None:
+                np.lib.format.write_array_header_1_0(fh, {
+                    "descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+                    "fortran_order": False, "shape": (len(block), int(n_cols))})
+                data_start = fh.tell()
+            for k, row in enumerate(block):
+                fh.seek(data_start + 8 * (k * n_cols + j.start))
+                fh.write(row)
+
+        yield write
     with open(checksum_path, "w") as fh:
         fh.write(f"{_file_crc32(path)}\n")
 
@@ -151,7 +173,7 @@ def read_grid_row_blocks(path, checksum_path, shape, blocks):
     block overwrites: the caller may use a block, as scratch too, until it
     asks for the next.  Anything else raises ValueError: a bad checksum or
     header before the first block, a truncated file or a non-finite entry
-    when the block that holds it is reached.
+    when the row segment that holds it is read.
 
     The checksum covers the header as well as the data, since numpy's header
     parser reads some altered headers (other padding whitespace, another
@@ -166,7 +188,9 @@ def read_grid_row_blocks(path, checksum_path, shape, blocks):
             raise ValueError(f"shape {stored}, expected {tuple(shape)}")
         n_rows, n_cols = shape
         data_start = fh.tell()
-        flat = np.empty(n_rows * max(j.stop - j.start for j in blocks))
+        widest = max(j.stop - j.start for j in blocks)
+        flat = np.empty(n_rows * widest)
+        finite = np.empty(widest, dtype=bool)  # one row segment's check
         for j in blocks:
             block = flat[: n_rows * (j.stop - j.start)].reshape(n_rows, j.stop - j.start)
             for k, row in enumerate(block):
@@ -174,9 +198,9 @@ def read_grid_row_blocks(path, checksum_path, shape, blocks):
                 if fh.readinto(row) != row.nbytes:
                     raise ValueError(f"truncated array file: row {k} ends before "
                                      f"column {j.stop}")
-            if not np.isfinite(block).all():
-                raise ValueError("grid rows have a non-finite entry in columns "
-                                 f"[{j.start}, {j.stop})")
+                if not np.isfinite(row, out=finite[: row.size]).all():
+                    raise ValueError("grid rows have a non-finite entry in columns "
+                                     f"[{j.start}, {j.stop})")
             yield j, block
 
 

@@ -11,12 +11,13 @@ solve from stored grid rows runs on numpy alone.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GreedyState
+# BLOCK and grid_blocks are re-exported: a solve walks the grid in the
+# blocks that the build's grid pass used
+from .engine import BLOCK, GreedyState, grid_blocks, representer_blocks
 from .errors import NumericalError
 from .functionals import FunctionalSet, gram, riesz_value
 from .kernels import KernelSpec, radial_kernel
@@ -36,36 +37,6 @@ class ProjectionSolution:
 
     data: np.ndarray
     newton_coefficients: np.ndarray
-
-
-# The grid is taken in blocks that start at multiples of BLOCK, the remainder
-# folded into the last block (BLOCK to 2 BLOCK - 1 points wide).  For such
-# blocks OpenBLAS gives C @ raw[:, J] the bits of the same columns of the
-# one-product C @ raw; blocks that start elsewhere, or a narrower last block,
-# can differ in the last bit.
-BLOCK = 512
-
-
-def grid_blocks(n_points: int) -> list[slice]:
-    """The column blocks of a grid of n_points, in order."""
-    starts = [k * BLOCK for k in range(max(n_points // BLOCK, 1))]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_points])]
-
-
-def representer_blocks(state: GreedyState, points) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (J, raw[:, J]) for each block J of the points (grid_blocks): the
-    representer rows riesz_value(f, points[J]) of the selected functionals,
-    from which the basis values on the block are C @ raw[:, J].  Every block
-    is a view of one buffer: the caller may use it, as scratch too, until it
-    asks for the next block, which overwrites it."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    blocks = grid_blocks(len(pts))
-    flat = np.empty(state.n * max(j.stop - j.start for j in blocks))
-    for j in blocks:
-        raw = flat[: state.n * (j.stop - j.start)].reshape(state.n, j.stop - j.start)
-        for k, i in enumerate(state.selected):
-            raw[k] = riesz_value(state.fset[i], pts[j], state.spec)
-        yield j, raw
 
 
 def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:

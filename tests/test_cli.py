@@ -17,6 +17,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import greedypde.cli
+import greedypde.engine
 import greedypde.solver
 from greedypde.cli import main
 from greedypde.config import RunConfig, load_config, parse_config
@@ -366,16 +367,25 @@ def test_solve_refuses_zero_first_error(built, tmp_path, capsys):
     assert not out.exists()
 
 
-def _count_riesz_rows(monkeypatch):
+def _count_radial_calls(monkeypatch):
+    """The calls the block evaluator makes to the radial forms, one per group
+    of selected functionals of one kind and block."""
     calls = []
-    real = greedypde.solver.riesz_value
+    real = greedypde.engine.representer_rows
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(greedypde.solver, "riesz_value", counted)
+    monkeypatch.setattr(greedypde.engine, "representer_rows", counted)
     return calls
+
+
+def _radial_calls_per_block(basis):
+    """ceil(count / 4) over the two kinds of the basis's selected functionals:
+    the evaluator takes the rows of one kind four functionals at a time."""
+    kinds = [f.kind for f in read_functionals(os.path.join(basis, "selected.txt"))]
+    return sum(math.ceil(kinds.count(kind) / 4) for kind in ("B", "D"))
 
 
 def _assert_same_solve_outputs(out1, out2):
@@ -398,7 +408,7 @@ def test_solve_from_stored_rows_matches_recomputation(built, tmp_path):
 
 
 def test_solve_from_stored_rows_evaluates_no_kernel(built, tmp_path, monkeypatch):
-    calls = _count_riesz_rows(monkeypatch)
+    calls = _count_radial_calls(monkeypatch)
     assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
                  "--out", str(tmp_path / "s")]) == 0
     assert calls == []
@@ -412,10 +422,11 @@ def test_solve_without_checksum_falls_back(built, tmp_path, monkeypatch):
     stored, recomputed = str(tmp_path / "stored"), str(tmp_path / "recomputed")
     assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
                  "--out", stored]) == 0
-    calls = _count_riesz_rows(monkeypatch)
+    calls = _count_radial_calls(monkeypatch)
     assert main(["solve", "--config", built["cfg"], "--basis", basis,
                  "--out", recomputed]) == 0
-    assert len(calls) == 40
+    # one block of grid points (fewer than 2 BLOCK), 40 picks in groups of 4
+    assert len(calls) == _radial_calls_per_block(basis) < 40
     _assert_same_solve_outputs(stored, recomputed)
 
 
@@ -458,6 +469,35 @@ def test_build_loads_no_scipy_spatial(tmp_path):
                            env=env, capture_output=True, text=True, timeout=60)
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == ""
+
+
+# 100 picks of a 440-candidate set on the default grid (about 5 k points):
+# large enough that OpenBLAS splits a product over the whole grid between
+# threads, which moved two powergrid.csv entries in the last bit when a
+# build deflated the whole grid at every step
+_THREADS_CFG = "domain_count = 400\nboundary_count = 40\nn_max = 100\n"
+
+
+def test_build_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
+    cfg = write_cfg(tmp_path, _THREADS_CFG)
+    outs = []
+    for threads in (None, "1"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        child = subprocess.run(
+            [sys.executable, "-m", "greedypde.cli", "build", "--config", cfg,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert "powergrid.csv" in names and names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
@@ -506,8 +546,8 @@ def test_solve_holds_c_once(tmp_path):
     assert n == 200
     c_bytes = 8 * n * n
     widest = max(j.stop - j.start for j in greedypde.solver.grid_blocks(n_points))
-    # the reader's finiteness mask of a block (N x widest bytes), the O(P)
-    # per-point arrays and the CSV rows
+    # the reader's finiteness mask of a row segment, the O(P) per-point
+    # arrays and the CSV rows
     slack = 2**18
     assert c_bytes > slack
     for k, basis in enumerate((stored, recomputed)):
@@ -522,6 +562,29 @@ def test_solve_holds_c_once(tmp_path):
             tracemalloc.stop()
         budget = 2 * 8 * n * widest + c_bytes
         assert peak <= budget + slack, (basis, (peak - budget) / c_bytes)
+
+
+def test_load_basis_holds_c_once(tmp_path):
+    # the checks of cmatrix.csv go row by row and restore_state keeps the
+    # parsed C, which is already zero above the diagonal, instead of a
+    # lower-triangular copy
+    cfg_path = write_cfg(tmp_path, _WIDE_C_CFG)
+    basis = str(tmp_path / "b")
+    assert main(["build", "--config", cfg_path, "--out", basis]) == 0
+    cfg = load_config(cfg_path)
+    greedypde.cli.load_basis(basis, cfg)  # load what the first call loads lazily
+    tracemalloc.start()
+    try:
+        state = greedypde.cli.load_basis(basis, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.n == cfg.n_max
+    c_bytes = 8 * cfg.n_max**2
+    # np.loadtxt's read buffers (about 90 kB) and the selected functionals
+    slack = 2**17
+    assert c_bytes > slack
+    assert peak <= c_bytes + slack, (peak - c_bytes) / c_bytes
 
 
 def test_build_writes_below_the_runs_peak(tmp_path, monkeypatch):
@@ -639,10 +702,10 @@ def test_solve_on_another_grid_falls_back(built, tmp_path, monkeypatch, override
     assert os.path.exists(os.path.join(built["out"], "gridrows.npy"))
     cfg_text = SMALL_CFG + override + "\n"
     out = str(tmp_path / "s")
-    calls = _count_riesz_rows(monkeypatch)
+    calls = _count_radial_calls(monkeypatch)
     assert main(["solve", "--config", write_cfg(tmp_path, cfg_text), "--basis",
                  built["out"], "--out", out]) == 0
-    assert len(calls) == 40
+    assert len(calls) == _radial_calls_per_block(built["out"]) < 40
 
     cfg = parse_config(cfg_text)
     grid = evaluation_grid(disk_candidates(cfg.domain_count, cfg.boundary_count),
@@ -798,6 +861,16 @@ def _nan_in_last_block(rows):
     return rows
 
 
+def _nan_in_last_row_of_a_later_block(rows):
+    rows[-1, BLOCK] = np.nan
+    return rows
+
+
+def _nan_in_first_row_of_a_later_block(rows):
+    rows[0, BLOCK + 7] = np.inf
+    return rows
+
+
 def _cut_in_a_later_row_segment(raw):
     """The file cut in the middle of the last row's segment of block 2."""
     rows = np.load(io.BytesIO(raw))
@@ -806,8 +879,12 @@ def _cut_in_a_later_row_segment(raw):
 
 
 @pytest.mark.parametrize("corrupt", [_edit_npy(_nan_in_last_block),
+                                     _edit_npy(_nan_in_last_row_of_a_later_block),
+                                     _edit_npy(_nan_in_first_row_of_a_later_block),
                                      _cut_in_a_later_row_segment],
-                         ids=["nan-in-last-block", "truncated-in-a-later-segment"])
+                         ids=["nan-in-last-block", "nan-in-last-row-of-a-later-block",
+                              "inf-in-first-row-of-a-later-block",
+                              "truncated-in-a-later-segment"])
 def test_grid_rows_fault_in_a_later_block_exits_2_naming_file(grid_bases, tmp_path_factory,
                                                               capsys, corrupt):
     built = grid_bases[max(grid_bases)]

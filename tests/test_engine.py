@@ -5,8 +5,10 @@ import pytest
 
 from greedypde.analysis import condition_estimate
 from greedypde.engine import (
+    BLOCK,
     GreedyState,
     extend,
+    grid_blocks,
     init,
     restore_state,
     run,
@@ -25,6 +27,7 @@ from greedypde.functionals import (
     dual_inner_column,
     gram,
     read_functionals,
+    riesz_value,
     write_functionals,
 )
 from greedypde.geometry import disk_candidates, evaluation_grid
@@ -363,9 +366,11 @@ def test_rho_matches_basis_oracle_at_every_step(m, mode, stop_tol):
 def test_grid_power_matches_basis_oracle_after_early_stop():
     geometry = disk_candidates(60, 10)
     fset = disk_functional_set(geometry)
-    grid = evaluation_grid(geometry, 0.1)
+    grid = evaluation_grid(geometry, 0.04)  # three blocks
+    blocks = []
     state, trace = run(fset, SPEC, n_max=len(fset), stop_tol=1e-2,
-                       eval_grid=grid)
+                       eval_grid=grid,
+                       grid_row_sink=lambda j, raw: blocks.append((j, raw.copy())))
     # stopped on Converged; every row the run added is in the grid power
     # and rho
     assert state.n < len(fset)
@@ -373,13 +378,41 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
     basis = evaluate_basis(state, points=grid.points)
     oracle = power_on_deltas(state, basis)
     assert np.abs(trace.grid_power - oracle).max() <= 1e-12
-    # the tracker's raw rows give the basis values bit for bit
-    assert trace.grid_rows.shape == (state.n, len(grid))
-    assert np.array_equal(state.c_matrix() @ trace.grid_rows, basis.values)
+    # the pass hands over each block of the grid once, in order, holding
+    # the representer rows of the picks bit for bit
+    assert [j for j, _ in blocks] == grid_blocks(len(grid)) and len(blocks) == 3
+    rows = np.hstack([raw for _, raw in blocks])
+    expected = np.array([riesz_value(fset[i], grid.points, SPEC) for i in state.selected])
+    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
 
-    _, no_grid = run(fset, SPEC, n_max=5)
+    _, no_grid = run(fset, SPEC, n_max=5, grid_row_sink=blocks.append)
     assert no_grid.grid_power is None
-    assert no_grid.grid_rows is None
+    assert len(blocks) == 3
+
+
+def test_extended_grid_pass_copies_the_rows_at_y():
+    # the pass copies the rows that the extended rule evaluated at Y instead
+    # of evaluating them again; the blocks it hands over are still the
+    # representer rows bit for bit, and Y given unsorted and with repeats
+    # selects and reports what its sorted, unique indices do
+    geometry = disk_candidates(60, 10)
+    fset = disk_functional_set(geometry)
+    grid = evaluation_grid(geometry, 0.04)  # three blocks, Y in each
+    y = np.arange(0, grid.n_interior, 3)
+    assert y[-1] >= 2 * BLOCK
+    spec = KernelSpec(m=6, d=2)
+    blocks = []
+    state, trace = run(fset, spec, mode="extended", n_max=30, eval_grid=grid,
+                       y_indices=np.r_[y[::-1], y[:5]],
+                       grid_row_sink=lambda j, raw: blocks.append(raw.copy()))
+    rows = np.hstack(blocks)
+    expected = np.array([riesz_value(fset[i], grid.points, spec) for i in state.selected])
+    assert rows.tobytes() == expected.tobytes()
+    sorted_state, sorted_trace = run(fset, spec, mode="extended", n_max=30,
+                                     eval_grid=grid, y_indices=y)
+    assert state.selected == sorted_state.selected
+    assert trace.rho.tobytes() == sorted_trace.rho.tobytes()
+    assert trace.grid_power.tobytes() == sorted_trace.grid_power.tobytes()
 
 
 def test_fill_distance_columns(small_run):
@@ -459,13 +492,15 @@ def test_c_matrix_is_a_read_only_view_with_the_copys_bits(small_run):
 
 
 def test_run_holds_only_the_contract_arrays():
-    # a run sizes its Newton columns, C and grid rows once for n_max, so its
-    # traced peak stays near (n_max + 2)|Lambda| + n_max P floats instead of
-    # holding old and doubled copies side by side
+    # a run sizes its Newton columns and C once for n_max and evaluates the
+    # grid one block at a time after the last step, so its traced peak stays
+    # near (n_max + 2)|Lambda| floats plus one widest block of n_max raw rows,
+    # instead of holding old and doubled copies or an n_max x P array
     geometry = disk_candidates(1000, 60)
     fset = disk_functional_set(geometry)
     grid = evaluation_grid(geometry, 0.02)
     n_max, lam, p = 40, len(fset), len(grid)
+    assert p > 4 * BLOCK
     run(fset, SPEC, n_max=5, eval_grid=grid)  # load what the first run loads lazily
     tracemalloc.start()
     try:
@@ -473,7 +508,7 @@ def test_run_holds_only_the_contract_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    contract = 8 * ((n_max + 2) * lam + n_max * p)
+    contract = 8 * ((n_max + 2) * lam + n_max * (2 * BLOCK - 1))
     # a step's temporaries: a few vectors over the set and the grid, the
     # radius table and the per-step trace values
     slack = 8 * 8 * (lam + p) + 2**19
