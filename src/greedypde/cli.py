@@ -287,28 +287,31 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
         boundary = circle_points(cfg.boundary_count)
         grid = evaluation_grid(DiskGeometry(np.empty((0, 2)), boundary),
                                cfg.grid_spacing)
-        data = data_vector(state.fset, range(state.n), problem)
+        try:
+            data = data_vector(state.fset, range(state.n), problem)
+        except ValueError as exc:  # a cusp's Laplacian at an operator delta
+            raise ConfigError(
+                f"problem_center, problem_exponent: {exc}, and the center "
+                f"{cfg.problem_center} is the point of an operator delta in "
+                f"{os.path.join(basis_dir, 'selected.txt')}") from exc
         mu = solver.data_to_newton(state, data)
         u_true = problem.value(grid.points)
 
-        # One block of grid points at a time: its basis values become its
-        # partial sums and then their errors in place, and only per-point
-        # results and the running maximum error per N are kept.  The values
-        # of every block share one buffer, and the raw rows, no longer needed
-        # once multiplied, take the squares.  So the loop holds the state's
-        # C, two blocks and O(P) arrays, and faults the blocks' pages in
-        # once; it is the solve's peak, since both block buffers go before
-        # the check and the writes.
+        # One block of grid points at a time: its raw rows become its basis
+        # values in place (solver.basis_values_in_place), then its partial
+        # sums and then their errors, and only per-point results and the
+        # running maximum error per N are kept.  So the loop holds the
+        # state's C, one block, one panel of the product and O(P) arrays;
+        # it is the solve's peak, since the block goes before the check and
+        # the writes.
         blocks, source = _grid_row_blocks(basis_dir, state, grid.points)
         c = state.c_matrix()
         p2 = np.empty(len(grid.points))
         u_approx = np.empty(len(grid.points))
         errors = np.zeros(state.n)
-        widest = max(j.stop - j.start for j in solver.grid_blocks(len(grid.points)))
-        flat = np.empty(state.n * widest)
         for j, raw in blocks:
-            values = np.matmul(c, raw, out=flat[: raw.size].reshape(raw.shape))
-            p2[j] = solver.unclamped_power(state.spec, values, scratch=raw)
+            values = solver.basis_values_in_place(c, raw)
+            p2[j] = solver.unclamped_power(state.spec, values)
             values *= mu[:, None]
             np.cumsum(values, axis=0, out=values)
             u_approx[j] = values[-1]
@@ -316,7 +319,7 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
             np.maximum(errors, np.abs(values, out=values).max(axis=1), out=errors)
         # the reader has finished, so the last block is the only hold on its
         # buffer
-        del raw, values, flat
+        del raw, values
         _check_power(p2, state.spec, grid.points,
                      os.path.join(basis_dir, "cmatrix.csv"), source)
         p_delta = np.sqrt(np.maximum(p2, 0.0))

@@ -80,9 +80,10 @@ _INITIAL_CAPACITY = 16
 
 # A grid is taken in blocks that start at multiples of BLOCK, the remainder
 # folded into the last block (BLOCK to 2 BLOCK - 1 points wide).  For such
-# blocks OpenBLAS gives C @ raw[:, J] the bits of the same columns of the
-# one-product C @ raw; blocks that start elsewhere, or a narrower last block,
-# can differ in the last bit.
+# blocks OpenBLAS gives the basis values C @ raw[:, J] of a solve
+# (solver.basis_values_in_place) the bits of the same columns of one such
+# product over the whole grid; blocks that start elsewhere, or a narrower
+# last block, can differ in the last bit.
 BLOCK = 512
 
 # Selected functionals of one kind per radial call in representer_blocks:
@@ -326,10 +327,12 @@ def representer_blocks(state: GreedyState, points,
                        known=None) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (J, raw[:, J]) for each block J of the points (grid_blocks): the
     representer rows of the selected functionals on points[J], equal to
-    riesz_value(f, points[J]) bit for bit, from which the basis values on the
-    block are C @ raw[:, J].  The rows of each kind are evaluated _GROUP
-    functionals at a time, one representer_rows call per group and block.
-    known, when given, is (cols, rows): the rows already evaluated at
+    riesz_value(f, points[J]) bit for bit.  The build's grid pass forms the
+    basis rows C[k, :k+1] @ raw[:k+1, J] from them one at a time, and a solve
+    overwrites them with the basis values C @ raw[:, J]
+    (solver.basis_values_in_place).  The rows of each kind are evaluated
+    _GROUP functionals at a time, one representer_rows call per group and
+    block.  known, when given, is (cols, rows): the rows already evaluated at
     points[cols] (cols increasing, rows N x |cols|), which are copied, not
     evaluated again.  Every block is a view of one buffer: the caller may use
     it, as scratch too, until it asks for the next block, which overwrites

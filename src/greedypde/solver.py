@@ -39,25 +39,48 @@ class ProjectionSolution:
     newton_coefficients: np.ndarray
 
 
+# Rows of C per product in basis_values_in_place: the panel buffer is
+# min(PANEL, N) rows of the block's width
+PANEL = 64
+
+
+def basis_values_in_place(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Overwrite raw, the N x width representer rows of a block, with the
+    basis values C @ raw and return it.  C is lower-triangular, so the rows
+    are formed in panels from the bottom up, raw[lo:hi] = C[lo:hi, :hi] @
+    raw[:hi] for hi = N, N - PANEL, ...: each product reads only rows that
+    are still raw and none multiplies C's zero upper triangle.  Each panel's
+    product goes to one buffer of min(PANEL, N) rows before it overwrites
+    its rows.  On the blocks of grid_blocks the values equal, bit for bit,
+    the panel product over the whole grid at a given BLAS thread count."""
+    n = raw.shape[0]
+    panel = np.empty((min(PANEL, n), raw.shape[1]))
+    for hi in range(n, 0, -PANEL):
+        lo = max(hi - PANEL, 0)
+        raw[lo:hi] = np.matmul(c[lo:hi, :hi], raw[:hi], out=panel[: hi - lo])
+    return raw
+
+
 def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:
-    """All basis functions on the points as one N x P array: C @ raw[:, J]
-    for each block (J, raw[:, J]) of representer_blocks(state, points).  On
-    a build's grid they equal, bit for bit, C times the build's stored rows."""
+    """All basis functions on the points as one N x P array: the blocks of
+    representer_blocks(state, points) turned into basis values in place by
+    basis_values_in_place.  On a build's grid they equal, bit for bit,
+    basis_values_in_place of C and the build's stored rows."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     c = state.c_matrix()
     values = np.empty((state.n, len(pts)))
     for j, raw in representer_blocks(state, pts):
-        values[:, j] = c @ raw
+        values[:, j] = basis_values_in_place(c, raw)
     return BasisEvaluation(points=pts, values=values)
 
 
-def unclamped_power(spec: KernelSpec, values: np.ndarray, scratch=None) -> np.ndarray:
-    """K(x,x) - sum_k v_{mu_k}(x)^2 per column of basis values, with the
-    squares in scratch (an array of their shape) when one is given.  It is
-    P^2(delta_x) and never below roundoff for an orthonormal basis, so a
-    clearly negative value shows values that are not those of one."""
+def unclamped_power(spec: KernelSpec, values: np.ndarray) -> np.ndarray:
+    """K(x,x) - sum_k v_{mu_k}(x)^2 per column of basis values, with the sum
+    of squares taken by einsum, which needs no array of the values' shape.
+    It is P^2(delta_x) and never below roundoff for an orthonormal basis, so
+    a clearly negative value shows values that are not those of one."""
     kxx = radial_kernel(spec, 0.0)
-    return kxx - np.square(values, out=scratch).sum(axis=0)
+    return kxx - np.einsum("ij,ij->j", values, values)
 
 
 def power_on_deltas(state: GreedyState, basis_eval: BasisEvaluation) -> np.ndarray:

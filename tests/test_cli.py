@@ -367,6 +367,22 @@ def test_solve_refuses_zero_first_error(built, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_cusp_at_an_operator_delta_exits_2_naming_keys(desk_basis, tmp_path, capsys):
+    # below exponent 2 the cusp's Laplacian is singular at its center, and
+    # the desk basis's second pick is an operator delta there
+    kind, x1, x2 = open(os.path.join(desk_basis["out"], "selected.txt")).readlines()[1].split()
+    assert kind == "D"
+    cfg = write_cfg(tmp_path, "problem = powercusp\nproblem_exponent = 1.5\n"
+                    f"problem_center = {x1}, {x2}\n", "cusp.cfg")
+    out = tmp_path / "s"
+    capsys.readouterr()
+    assert main(["solve", "--config", cfg, "--basis", desk_basis["out"],
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "problem_center" in err and "problem_exponent" in err
+    assert not out.exists()
+
+
 def _count_radial_calls(monkeypatch):
     """The calls the block evaluator makes to the radial forms, one per group
     of selected functionals of one kind and block."""
@@ -524,8 +540,9 @@ def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a block's raw rows and its values (the squares reuse the rows'
-        # buffer); the slack covers the CSVs and the grid
+        # a block, which its basis values overwrite in place, and one panel
+        # of the product, which at N = 40 is as large as the block; the
+        # slack covers the CSVs and the grid
         assert peak <= 2 * block_bytes + 1_000_000, (basis, peak / block_bytes)
 
 
@@ -560,7 +577,9 @@ def test_solve_holds_c_once(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        budget = 2 * 8 * n * widest + c_bytes
+        # C, one block that becomes its basis values in place and one panel
+        # of the product
+        budget = 8 * n * widest + 8 * greedypde.solver.PANEL * widest + c_bytes
         assert peak <= budget + slack, (basis, (peak - budget) / c_bytes)
 
 
@@ -629,9 +648,24 @@ def grid_bases(tmp_path_factory):
     return bases
 
 
+@pytest.fixture(scope="module")
+def wide_grid_basis(tmp_path_factory):
+    """A basis of 200 picks, so that C spans several panels of the basis
+    product, on a grid of more than 2 BLOCK points; like `built`."""
+    tmp = tmp_path_factory.mktemp("wide_grid_basis")
+    cfg = write_cfg(tmp, _WIDE_C_CFG.replace("0.08", "0.05"))
+    out = str(tmp / "basis")
+    assert main(["build", "--config", cfg, "--out", out]) == 0
+    assert greedypde.solver.PANEL < 200
+    return dict(cfg=cfg, out=out)
+
+
 # Solves a basis, from its stored rows and from a copy without them, and
 # compares the outputs byte for byte with the one-product reference: the
-# formulas a solve used before it was streamed, on C @ gridrows.npy whole.
+# formulas of a solve that is not streamed, on the panel product of C and
+# gridrows.npy whole.  The panels are written out here, not taken from the
+# solver: rows [lo, hi) of the values are C[lo:hi, :hi] times rows [0, hi)
+# of the raw rows, for hi = N, N - 64, ...
 _BIT_IDENTITY_CHILD = """\
 import filecmp, os, shutil, sys
 import numpy as np
@@ -650,7 +684,11 @@ problem = GaussianBump(center=cfg.problem_center, shape=cfg.problem_shape)
 points = evaluation_grid(disk_candidates(cfg.domain_count, cfg.boundary_count),
                          cfg.grid_spacing).points
 mu = data_to_newton(state, data_vector(state.fset, range(state.n), problem))
-values = state.c_matrix() @ np.load(os.path.join(basis, "gridrows.npy"))
+rows = np.load(os.path.join(basis, "gridrows.npy"))
+c = state.c_matrix()
+values = np.empty_like(rows)
+for hi in range(state.n, 0, -64):
+    values[max(hi - 64, 0):hi] = c[max(hi - 64, 0):hi, :hi] @ rows[:hi]
 kxx = kernel_value(state.spec, np.zeros(2), np.zeros(2))
 p_delta = np.sqrt(np.maximum(kxx - (values**2).sum(axis=0), 0.0))
 partial = np.cumsum(values * mu[:, None], axis=0)
@@ -682,19 +720,22 @@ for path, source in (("stored", basis), ("fallback", fallback)):
 
 
 @pytest.mark.parametrize("threads", [None, "1"], ids=["default-threads", "one-thread"])
-def test_streamed_solve_is_bit_identical_to_one_product(grid_bases, tmp_path, threads):
+def test_streamed_solve_is_bit_identical_to_one_product(grid_bases, wide_grid_basis,
+                                                        tmp_path, threads):
     src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    for n_points, built in grid_bases.items():
+    bases = {f"{n_points}-points": built for n_points, built in grid_bases.items()}
+    bases["200-picks"] = wide_grid_basis
+    for name, built in bases.items():
         child = subprocess.run(
             [sys.executable, "-c", _BIT_IDENTITY_CHILD, built["cfg"], built["out"],
-             str(tmp_path / f"s{n_points}")],
+             str(tmp_path / name)],
             env=env, capture_output=True, text=True, timeout=120)
         assert child.returncode == 0, child.stderr
-        assert child.stdout == "", (n_points, child.stdout)
+        assert child.stdout == "", (name, child.stdout)
 
 
 @pytest.mark.parametrize("override", ["grid_spacing = 0.1", "boundary_count = 24"])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedypde.analysis import condition_estimate
 from greedypde.engine import (
@@ -31,9 +33,15 @@ from greedypde.functionals import (
     write_functionals,
 )
 from greedypde.geometry import disk_candidates, evaluation_grid
-from greedypde.kernels import KernelSpec, kernel_value
+from greedypde.kernels import KernelSpec, kernel_value, radial_kernel
 from greedypde.parallel import resolve_workers
-from greedypde.solver import data_to_newton, evaluate_basis, power_on_deltas
+from greedypde.solver import (
+    basis_values_in_place,
+    data_to_newton,
+    evaluate_basis,
+    power_on_deltas,
+    unclamped_power,
+)
 
 SPEC = KernelSpec(m=4, d=2)
 
@@ -554,3 +562,55 @@ def test_run_computes_one_distance_vector_per_step(monkeypatch):
     assert again.selected == state.selected
     assert np.array_equal(again_trace.h_domain, trace.h_domain)
     assert np.array_equal(again_trace.h_boundary, trace.h_boundary)
+
+
+def _run_keeping_rows(fset, spec, mode, n_max, grid):
+    """run with a grid, and copies of the blocks of raw rows it hands over."""
+    blocks = []
+    state, trace = run(fset, spec, mode=mode, n_max=n_max, eval_grid=grid,
+                       grid_row_sink=lambda j, raw: blocks.append((j, raw.copy())))
+    return state, trace, blocks
+
+
+# cond_C is C[0, 0] * L[0, 0] = 1 at the first step, which roundoff can put
+# an ulp or two below 1
+_COND_FLOOR = 1.0 - 4 * np.finfo(float).eps
+
+
+@settings(deadline=None, max_examples=60)
+@given(m=st.integers(4, 9),
+       scale=st.sampled_from([0.05, 0.3, 1.0, 5.0]) | st.floats(0.05, 5.0),
+       mode=st.sampled_from(["standard", "extended"]),
+       n_domain=st.integers(30, 300), n_boundary=st.integers(6, 40),
+       n_max=st.integers(1, 80))
+def test_run_invariants_over_the_config_space(m, scale, mode, n_domain, n_boundary,
+                                              n_max):
+    # the other run tests keep to scale 1 and m <= 6; a factor of the scale
+    # dropped from one pairing, or an extend change that breaks only at a
+    # high cond_C, shows here
+    geometry = disk_candidates(n_domain, n_boundary)
+    fset = disk_functional_set(geometry)
+    spec = KernelSpec(m=m, d=2, scale=scale)
+    grid = evaluation_grid(geometry, 0.1)
+    n_max = min(n_max, len(fset))
+    state, trace, blocks = _run_keeping_rows(fset, spec, mode, n_max, grid)
+    assert len(set(state.selected)) == state.n == len(trace.steps)
+    assert (np.diff(trace.sigma) <= 0.0).all(), np.diff(trace.sigma).max()
+    assert np.isfinite(trace.rho).all() and np.isfinite(trace.cond_c).all()
+    assert (trace.cond_c >= _COND_FLOOR).all(), trace.cond_c.min()
+    # the solve's own gate on the stored rows: a build must never write a
+    # basis that its solve rejects
+    c = state.c_matrix()
+    kxx = radial_kernel(spec, 0.0)
+    p2_min = min(unclamped_power(spec, basis_values_in_place(c, raw.copy())).min()
+                 for _, raw in blocks)
+    assert p2_min >= -1e-10 * kxx, p2_min / kxx
+
+    again, again_trace, again_blocks = _run_keeping_rows(fset, spec, mode, n_max, grid)
+    assert again.selected == state.selected and again_trace.kind == trace.kind
+    assert again.c_matrix().tobytes() == c.tobytes()
+    for name in ("sigma", "rho", "h_domain", "h_boundary", "cond_c", "grid_power"):
+        assert getattr(again_trace, name).tobytes() == getattr(trace, name).tobytes(), name
+    assert [j for j, _ in again_blocks] == [j for j, _ in blocks]
+    for (_, rows), (_, again_rows) in zip(blocks, again_blocks):
+        assert again_rows.tobytes() == rows.tobytes()
