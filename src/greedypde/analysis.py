@@ -106,6 +106,10 @@ def condition_estimate(tri, norm1: float | None = None,
     inverse=True, norm1 says nothing of the entries of tri = C^{-1}; a NaN
     or infinite one there makes the first probe non-finite, which raises
     NumericalError.
+
+    The estimate is clamped at 1 from below: cond_1 >= 1 for every matrix,
+    while the product of the two norms can round to an ulp below it (at
+    N = 1 it is |C[0, 0]| * |1 / C[0, 0]|).
     """
     tri = (np.asarray if inverse else np.ascontiguousarray)(tri, dtype=float)
     if tri.ndim != 2 or tri.shape[0] != tri.shape[1]:
@@ -128,7 +132,7 @@ def condition_estimate(tri, norm1: float | None = None,
             return v @ tri if trans else tri @ v
     else:
         apply = _inverse_by_solves(tri)
-    return norm1 * _hager_norm1(apply, n)
+    return max(norm1 * _hager_norm1(apply, n), 1.0)
 
 
 def singular_values(matrix) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from . import runio, solver
 from .analysis import fit_rate
 from .config import RunConfig, dump_config, load_config, parse_pairs
-from .engine import GreedyState, representer_blocks, restore_state, run
+from .engine import GreedyState, restore_state, run
 from .errors import ConfigError, GreedyPDEError, NumericalError
 from .functionals import (
     FunctionalSet,
@@ -108,34 +108,41 @@ def _read_c_matrix(path: str) -> np.ndarray:
     return cmat
 
 
-def _stored_row_blocks(rows_path: str, crc_path: str, shape, blocks):
-    with _naming(rows_path):
-        yield from runio.read_grid_row_blocks(rows_path, crc_path, shape, blocks)
+def _stored_value_blocks(values_path: str, shape, blocks):
+    with _naming(values_path):
+        yield from runio.read_grid_blocks(values_path, shape, blocks)
 
 
-def _grid_row_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
-    """(blocks, source): the raw representer rows on the points as
-    (J, raw[:, J]) per block J of solver.grid_blocks, and a name for where
-    they come from.
+def _basis_value_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
+    """(blocks, source): the basis values on the points as (J, values[:, J])
+    per block J of solver.grid_blocks, and a name for where they come from.
 
-    When the basis directory holds gridrows.npy with its checksum
-    gridrows.crc32, and its build grid (the x1,x2 columns of powergrid.csv)
-    is exactly these points, the rows are read from the file block by block,
-    and no kernel is evaluated; otherwise representer_blocks computes them.
+    When the basis directory holds gridbasis.npy with gridbasis.crc32, and
+    its build grid (the x1,x2 columns of powergrid.csv) is exactly these
+    points, the values are read from the file block by block, once the
+    CRC-32s that gridbasis.crc32 records for it and for cmatrix.csv match
+    both files: the stored values were formed with that C, so an edit of
+    either file exits 2 naming it.  That path evaluates no kernel and does
+    not hold the state, and so not C.  Otherwise (another grid, or an older
+    build's directory, whose gridrows.npy holds raw rows and is never read)
+    solver.basis_value_blocks computes them with the row GEMVs of the
+    build's grid pass, so both paths give the same bits.
     """
-    rows_path = os.path.join(basis_dir, "gridrows.npy")
-    crc_path = os.path.join(basis_dir, "gridrows.crc32")
-    if os.path.exists(rows_path) and os.path.exists(crc_path):
+    values_path = os.path.join(basis_dir, "gridbasis.npy")
+    crc_path = os.path.join(basis_dir, "gridbasis.crc32")
+    cmat_path = os.path.join(basis_dir, "cmatrix.csv")
+    if os.path.exists(values_path) and os.path.exists(crc_path):
         _, table = _read_artifact(runio.read_table_csv,
                                   os.path.join(basis_dir, "powergrid.csv"))
         stored = table[:, :2]
         if stored.shape == points.shape and stored.tobytes() == points.tobytes():
-            blocks = _stored_row_blocks(rows_path, crc_path, (state.n, len(points)),
-                                        solver.grid_blocks(len(points)))
-            return blocks, rows_path
+            _read_artifact(runio.check_checksums, crc_path, (values_path, cmat_path))
+            blocks = _stored_value_blocks(values_path, (state.n, len(points)),
+                                          solver.grid_blocks(len(points)))
+            return blocks, values_path
     selected_path = os.path.join(basis_dir, "selected.txt")
-    return (representer_blocks(state, points),
-            f"the representer rows of {selected_path}")
+    return (solver.basis_value_blocks(state, points),
+            f"{cmat_path} and the representer rows of {selected_path}")
 
 
 def _problem(cfg: RunConfig):
@@ -194,14 +201,13 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         y_size = min(cfg.y_size, grid.n_interior)
         y_indices = np.unique(np.linspace(0, grid.n_interior - 1, y_size).astype(int))
 
-        # The run's last pass over the grid writes each block of the raw
-        # representer rows into gridrows.npy, so no N x P array is held.
-        with runio.write_grid_row_blocks(os.path.join(tmp, "gridrows.npy"),
-                                         os.path.join(tmp, "gridrows.crc32"),
-                                         len(grid)) as grid_row_sink:
+        # The run's last pass over the grid writes each block of the basis
+        # values into gridbasis.npy, so no N x P array is held.
+        values_path = os.path.join(tmp, "gridbasis.npy")
+        with runio.write_grid_blocks(values_path, len(grid)) as grid_value_sink:
             state, trace = run(
                 fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
-                eval_grid=grid, y_indices=y_indices, grid_row_sink=grid_row_sink,
+                eval_grid=grid, y_indices=y_indices, grid_row_sink=grid_value_sink,
             )
         # The other writes need only the picks, C and the trace: the Newton
         # columns, L and the rest of the selection state go first, so that
@@ -212,7 +218,11 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         runio.write_trace_csv(os.path.join(tmp, "trace.csv"), trace)
         write_functionals(os.path.join(tmp, "selected.txt"),
                           [fset[i] for i in selected])
-        runio.write_matrix_csv(os.path.join(tmp, "cmatrix.csv"), cmat)
+        cmat_path = os.path.join(tmp, "cmatrix.csv")
+        runio.write_matrix_csv(cmat_path, cmat)
+        # once both files exist: the stored values hold only with this C
+        runio.write_checksums(os.path.join(tmp, "gridbasis.crc32"),
+                              (values_path, cmat_path))
         runio.write_table_csv(
             os.path.join(tmp, "powergrid.csv"),
             ["x1", "x2", "p2_delta"],
@@ -265,14 +275,14 @@ _POWER_TOL = 1e-10
 
 
 def _check_power(p2: np.ndarray, spec: KernelSpec, points: np.ndarray,
-                 cmat_path: str, source: str) -> None:
-    """Raise NumericalError, naming C and the rows' source, when the unclamped
+                 source: str) -> None:
+    """Raise NumericalError, naming the values' source, when the unclamped
     P^2(delta_x) on the grid shows a basis that is not orthonormal."""
     kxx = radial_kernel(spec, 0.0)
     k = int(np.argmin(p2))
     if p2[k] < -_POWER_TOL * kxx:
         raise NumericalError(
-            f"{cmat_path} and {source} do not form an orthonormal basis: "
+            f"the basis values from {source} are not orthonormal: "
             f"K(x,x) - sum_k v_k(x)^2 is {p2[k] / kxx:.3g} K(0) at x = "
             f"{tuple(float(v) for v in points[k])}, below -{_POWER_TOL:g} K(0)")
 
@@ -296,22 +306,27 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
                 f"{os.path.join(basis_dir, 'selected.txt')}") from exc
         mu = solver.data_to_newton(state, data)
         u_true = problem.value(grid.points)
+        n, spec = state.n, state.spec
+        # The stored values' blocks do not hold the state, so C goes here;
+        # recomputed ones keep it for their products.
+        blocks, source = _basis_value_blocks(basis_dir, state, grid.points)
+        del state
 
-        # One block of grid points at a time: its raw rows become its basis
-        # values in place (solver.basis_values_in_place), then its partial
-        # sums and then their errors, and only per-point results and the
-        # running maximum error per N are kept.  So the loop holds the
-        # state's C, one block, one panel of the product and O(P) arrays;
-        # it is the solve's peak, since the block goes before the check and
-        # the writes.
-        blocks, source = _grid_row_blocks(basis_dir, state, grid.points)
-        c = state.c_matrix()
+        # One block of basis values at a time: its squares' column sums give
+        # P^2 (and show a non-finite value, at the cost of one width-sized
+        # check), then the block becomes its partial sums and then their
+        # errors in place, and only per-point results and the running
+        # maximum error per N are kept.  So the loop holds one block and
+        # O(P) arrays, and C only when it computes the values; it is the
+        # solve's peak, since the block goes before the check and the writes.
         p2 = np.empty(len(grid.points))
         u_approx = np.empty(len(grid.points))
-        errors = np.zeros(state.n)
-        for j, raw in blocks:
-            values = solver.basis_values_in_place(c, raw)
-            p2[j] = solver.unclamped_power(state.spec, values)
+        errors = np.zeros(n)
+        for j, values in blocks:
+            p2[j] = solver.unclamped_power(spec, values)
+            if not np.isfinite(p2[j]).all():
+                raise ConfigError(f"{source}: a basis value in columns "
+                                  f"[{j.start}, {j.stop}) is not finite")
             values *= mu[:, None]
             np.cumsum(values, axis=0, out=values)
             u_approx[j] = values[-1]
@@ -319,16 +334,15 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
             np.maximum(errors, np.abs(values, out=values).max(axis=1), out=errors)
         # the reader has finished, so the last block is the only hold on its
         # buffer
-        del raw, values
-        _check_power(p2, state.spec, grid.points,
-                     os.path.join(basis_dir, "cmatrix.csv"), source)
+        del values
+        _check_power(p2, spec, grid.points, source)
         p_delta = np.sqrt(np.maximum(p2, 0.0))
         if not errors[0] > 0.0:
             raise ConfigError(
                 f"problem: the error at N=1 is {errors[0]!r} on the evaluation grid, "
                 "so errors.csv has nothing to normalize by")
         normalized = errors / errors[0]
-        steps = np.arange(1, state.n + 1)
+        steps = np.arange(1, n + 1)
 
         runio.write_table_csv(
             os.path.join(tmp, "errors.csv"),

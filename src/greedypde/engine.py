@@ -36,14 +36,16 @@ So a step reads no grid value in standard mode, and in extended mode the
 run keeps the representer rows at Y only (N x |Y|) and deflates the delta
 power there by each basis row in the step that adds it.  Everything else
 an evaluation grid gives comes from one pass after the last step, block by
-block over the grid (representer_blocks): the pass forms each basis row on
-a block as C[k, :k+1] @ raw[:k+1, J] and deflates the block's delta power
-by it, which is the same O(N^2 P) work a per-step deflation does; in
+block over the grid (representer_blocks): the pass turns a block's raw rows
+into its basis values in place (basis_values_in_place: row k becomes
+C[k, :k+1] @ raw[:k+1, J], bottom-up, one row GEMV at a time) and then
+deflates the block's delta power by those rows in the order the run added
+them, which is the same O(N^2 P) work a per-step deflation does; in
 extended mode it copies the rows at Y instead of evaluating them again.  The
 largest power over the grid after each row is the trace's rho column, and
-the final powers are its grid_power.  Each block of raw rows goes to the
-caller's sink once used (the CLI writes gridrows.npy from it), so a run
-holds one N x |J| block, never an N x P array, and its peak is the pass
+the final powers are its grid_power.  Each block of basis values goes to
+the caller's sink once used (the CLI writes gridbasis.npy from it), so a
+run holds one N x |J| block, never an N x P array, and its peak is the pass
 beside the state's arrays.
 """
 
@@ -79,11 +81,11 @@ _NEGATIVE_FLOOR = 1e-6
 _INITIAL_CAPACITY = 16
 
 # A grid is taken in blocks that start at multiples of BLOCK, the remainder
-# folded into the last block (BLOCK to 2 BLOCK - 1 points wide).  For such
-# blocks OpenBLAS gives the basis values C @ raw[:, J] of a solve
-# (solver.basis_values_in_place) the bits of the same columns of one such
-# product over the whole grid; blocks that start elsewhere, or a narrower
-# last block, can differ in the last bit.
+# folded into the last block (BLOCK to 2 BLOCK - 1 points wide).  The
+# build's grid pass and a solve that recomputes the basis values take the
+# same blocks, so their row GEMVs (basis_values_in_place) see the same
+# operands and give the same bits; one N x |J| block is the largest grid
+# array either holds.
 BLOCK = 512
 
 # Selected functionals of one kind per radial call in representer_blocks:
@@ -327,10 +329,9 @@ def representer_blocks(state: GreedyState, points,
                        known=None) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (J, raw[:, J]) for each block J of the points (grid_blocks): the
     representer rows of the selected functionals on points[J], equal to
-    riesz_value(f, points[J]) bit for bit.  The build's grid pass forms the
-    basis rows C[k, :k+1] @ raw[:k+1, J] from them one at a time, and a solve
-    overwrites them with the basis values C @ raw[:, J]
-    (solver.basis_values_in_place).  The rows of each kind are evaluated
+    riesz_value(f, points[J]) bit for bit.  The build's grid pass and a solve
+    that has no stored basis values overwrite them with the basis values
+    C @ raw[:, J] (basis_values_in_place).  The rows of each kind are evaluated
     _GROUP functionals at a time, one representer_rows call per group and
     block.  known, when given, is (cols, rows): the rows already evaluated at
     points[cols] (cols increasing, rows N x |cols|), which are copied, not
@@ -366,11 +367,25 @@ def representer_blocks(state: GreedyState, points,
         yield j, raw
 
 
-def _deflate(power: np.ndarray, c_row: np.ndarray, raw: np.ndarray) -> None:
-    """Deflate delta powers in place by the basis row c_row @ raw, clamping
-    at 0."""
-    row = c_row @ raw
-    np.subtract(power, np.square(row, out=row), out=power)
+def basis_values_in_place(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Overwrite raw, the N x width representer rows of a block, with the
+    basis values C @ raw and return it.  C is lower-triangular, so the rows
+    are formed from the bottom up, one row GEMV at a time: for k = N - 1,
+    ..., 0, raw[k] = C[k, :k+1] @ raw[:k+1], computed into one width-sized
+    row and then copied in.  Row k reads only rows that are still raw, none
+    multiplies C's zero upper triangle, and each row has the operands, and so
+    the bits, of the same row formed on its own.  OpenBLAS gives these GEMVs
+    the same bits at 1 and 2 threads on the tested bases."""
+    row = np.empty(raw.shape[1])
+    for k in range(len(raw) - 1, -1, -1):
+        raw[k] = np.matmul(c[k, : k + 1], raw[: k + 1], out=row)
+    return raw
+
+
+def _deflate(power: np.ndarray, row: np.ndarray, square: np.ndarray) -> None:
+    """Deflate delta powers in place by the basis row, clamping at 0; square
+    takes the row's squares and may be the row itself."""
+    np.subtract(power, np.square(row, out=square), out=power)
     np.maximum(power, 0.0, out=power)
 
 
@@ -378,24 +393,27 @@ def _grid_pass(state: GreedyState, points: np.ndarray,
                sink: Callable[[slice, np.ndarray], None] | None, known=None,
                ) -> tuple[np.ndarray, np.ndarray]:
     """(rho, grid_power) of the state's basis on the points, one block of
-    representer_blocks at a time.  A block's delta powers start at K(0) and
-    are deflated by each basis row in the order the run added them, row k
-    being C[k, :k+1] @ raw[:k+1, J]; rho[k] is the square root of the largest
-    power over the grid after row k, and grid_power holds the powers after
-    the last row.  sink, when given, gets each (J, raw[:, J]) once its rows
-    are used; known is passed to representer_blocks."""
+    representer_blocks at a time.  A block's raw rows become its basis
+    values in place (basis_values_in_place), and its delta powers start at
+    K(0) and are deflated by each basis row in the order the run added
+    them; rho[k] is the square root of the
+    largest power over the grid after row k, and grid_power holds the powers
+    after the last row.  sink, when given, gets each (J, values[:, J]) once
+    its rows are used; known is passed to representer_blocks."""
     n = state.n
     power = np.full(len(points), radial_kernel(state.spec, 0.0))
     peak = np.zeros(n)
     block_peak = np.empty(n)
-    for j, raw in representer_blocks(state, points, known):
+    for j, values in representer_blocks(state, points, known):
+        basis_values_in_place(state._c, values)
         block_power = power[j]
+        square = np.empty(len(block_power))
         for k in range(n):
-            _deflate(block_power, state._c[k, : k + 1], raw[: k + 1])
+            _deflate(block_power, values[k], square)
             block_peak[k] = block_power.max()
         np.maximum(peak, block_peak, out=peak)
         if sink is not None:
-            sink(j, raw)
+            sink(j, values)
     return np.sqrt(peak), power
 
 
@@ -411,10 +429,12 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     pass over the grid's blocks computes after the last step, and is
     required in extended mode, where `y_indices` restricts the interior
     evaluation points considered for selection (default: all of them).
-    `grid_row_sink`, given a grid, is called as grid_row_sink(J, raw) for
-    each block J of the pass, in order, with raw the N x |J| representer
-    rows of the selected functionals on the block (a buffer that the next
-    block overwrites, as in representer_blocks).
+    `grid_row_sink`, given a grid, is called as grid_row_sink(J, values) for
+    each block J of the pass, in order, with values the N x |J| basis values
+    v_{mu_k}(x) = (C @ raw)[k, x] on the block's points (a buffer that the
+    next block overwrites, as in representer_blocks).  They do not depend on
+    the problem, so a solve on the same grid can read them instead of
+    evaluating the representers again.
     """
     if mode not in ("standard", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -465,7 +485,8 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         if mode == "extended":
             k = state.n - 1
             y_raw[k] = riesz_value(fset[chosen], y_points, spec)
-            _deflate(y_power, state._c[k, : k + 1], y_raw[: k + 1])
+            row = state._c[k, : k + 1] @ y_raw[: k + 1]
+            _deflate(y_power, row, row)
 
         own = kind_masks[is_boundary]
         np.minimum(nearest, dist, out=nearest, where=own)

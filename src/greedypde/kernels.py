@@ -57,7 +57,7 @@ per order.  Two seed pairs serve two kinds of value:
   interior points with the candidates' residual powers.
 
 SciPy loads on the first Bessel call, not when this module is imported: a
-`solve` from stored grid rows evaluates the kernel only at t = 0 (for
+`solve` from stored basis values evaluates the kernel only at t = 0 (for
 K(x, x)), where the analytic limit needs no Bessel function, so it and
 `report` run on numpy alone.
 """

@@ -1,6 +1,6 @@
 """Artifacts written by the CLI and read back by the package itself: run
-traces, matrices, power grids, grid representer rows, error/coefficient
-tables and reports.
+traces, matrices, power grids, grid basis values and their checksums,
+error/coefficient tables and reports.
 
 Every CSV body is read by one loader, _read_rows.  kernel.txt is not here: it
 is three lines of the config grammar, read back with config.parse_pairs."""
@@ -8,6 +8,7 @@ is three lines of the config grammar, read back with config.parse_pairs."""
 from __future__ import annotations
 
 import contextlib
+import os
 import tokenize
 import zlib
 
@@ -99,8 +100,8 @@ def read_table_csv(path) -> tuple[list[str], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# raw representer rows on the evaluation grid (gridrows.npy), checked by the
-# CRC-32 of the whole file, kept as one decimal line (gridrows.crc32)
+# basis values on the evaluation grid (gridbasis.npy), and the CRC-32 lines
+# that tie them to the C they were formed with (gridbasis.crc32)
 
 
 def _file_crc32(path) -> int:
@@ -111,14 +112,42 @@ def _file_crc32(path) -> int:
     return crc
 
 
+def write_checksums(checksum_path, paths) -> None:
+    """One line `<CRC-32> <file name>` per path, in order, for
+    check_checksums to compare with the files as they are later."""
+    with open(checksum_path, "w") as fh:
+        fh.writelines(f"{_file_crc32(p)} {os.path.basename(p)}\n" for p in paths)
+
+
+def check_checksums(checksum_path, paths) -> None:
+    """Raise ValueError unless checksum_path holds exactly the lines that
+    write_checksums(checksum_path, paths) writes for the files as they are
+    now; the message names the first file whose CRC-32 differs."""
+    with open(checksum_path, "rb") as fh:
+        text = fh.read()
+    try:
+        recorded = {name: int(crc) for crc, name in
+                    (line.split(b" ") for line in text.splitlines())}
+    except ValueError:
+        recorded = None
+    names = [os.path.basename(p).encode() for p in paths]
+    if recorded is None or sorted(recorded) != sorted(names):
+        raise ValueError(f"holds {text[:60]!r}, not one CRC-32 line for each of "
+                         f"{', '.join(n.decode() for n in names)}")
+    for path, name in zip(paths, names):
+        actual = _file_crc32(path)
+        if actual != recorded[name]:
+            raise ValueError(f"the CRC-32 of {path} is {actual}, but this file "
+                             f"records {recorded[name]}")
+
+
 @contextlib.contextmanager
-def write_grid_row_blocks(path, checksum_path, n_cols: int):
+def write_grid_blocks(path, n_cols: int):
     """Yield write(J, rows[:, J]), which stores column block J of a C-ordered
     N x n_cols float64 array in the .npy file at path, one segment per row,
-    where read_grid_row_blocks reads it back; N is the row count of the first
+    where read_grid_blocks reads it back; N is the row count of the first
     block written.  Once the blocks cover every column, the file holds the
-    bytes np.save writes for the array.  When the with statement ends without
-    an error, checksum_path gets the file's CRC-32."""
+    bytes np.save writes for the array."""
     with open(path, "wb") as fh:
         data_start = None
 
@@ -134,20 +163,6 @@ def write_grid_row_blocks(path, checksum_path, n_cols: int):
                 fh.write(row)
 
         yield write
-    with open(checksum_path, "w") as fh:
-        fh.write(f"{_file_crc32(path)}\n")
-
-
-def _check_crc32(path, checksum_path) -> None:
-    with open(checksum_path, "rb") as fh:
-        text = fh.read()
-    try:
-        expected = int(text)
-    except ValueError:
-        raise ValueError(f"{checksum_path} holds {text[:40]!r}, not a CRC-32") from None
-    actual = _file_crc32(path)
-    if actual != expected:
-        raise ValueError(f"CRC-32 is {actual}, but {checksum_path} records {expected}")
 
 
 def _read_npy_header(fh) -> tuple:
@@ -164,22 +179,20 @@ def _read_npy_header(fh) -> tuple:
     raise ValueError(f"unsupported .npy format version {version}")
 
 
-def read_grid_row_blocks(path, checksum_path, shape, blocks):
+def read_grid_blocks(path, shape, blocks):
     """Yield (J, rows[:, J]) for each column slice J of blocks, in order, from
-    a file whose CRC-32 is the one in checksum_path and that holds a 2-D,
-    C-ordered float64 array of the given shape.
+    a .npy file that holds a 2-D, C-ordered float64 array of the given shape.
 
     Each block is read as one segment per row into one buffer, which the next
     block overwrites: the caller may use a block, as scratch too, until it
-    asks for the next.  Anything else raises ValueError: a bad checksum or
-    header before the first block, a truncated file or a non-finite entry
-    when the row segment that holds it is read.
-
-    The checksum covers the header as well as the data, since numpy's header
-    parser reads some altered headers (other padding whitespace, another
-    spelling of the byte order) as the original.
+    asks for the next.  A header that does not match raises ValueError
+    before the first block, and a truncated file when the row segment that
+    it cuts is read.  The values are not checked: the caller checks the
+    file's CRC-32 before it reads (the checksum covers the header too, since
+    numpy's header parser reads some altered headers, such as other padding
+    whitespace or another spelling of the byte order, as the original), and
+    a solve checks each block's sums of squares for finiteness.
     """
-    _check_crc32(path, checksum_path)
     with open(path, "rb", buffering=0) as fh:
         stored, fortran_order, dtype = _read_npy_header(fh)
         if len(stored) != 2 or fortran_order or dtype != np.float64:
@@ -190,7 +203,6 @@ def read_grid_row_blocks(path, checksum_path, shape, blocks):
         data_start = fh.tell()
         widest = max(j.stop - j.start for j in blocks)
         flat = np.empty(n_rows * widest)
-        finite = np.empty(widest, dtype=bool)  # one row segment's check
         for j in blocks:
             block = flat[: n_rows * (j.stop - j.start)].reshape(n_rows, j.stop - j.start)
             for k, row in enumerate(block):
@@ -198,9 +210,6 @@ def read_grid_row_blocks(path, checksum_path, shape, blocks):
                 if fh.readinto(row) != row.nbytes:
                     raise ValueError(f"truncated array file: row {k} ends before "
                                      f"column {j.stop}")
-                if not np.isfinite(row, out=finite[: row.size]).all():
-                    raise ValueError("grid rows have a non-finite entry in columns "
-                                     f"[{j.start}, {j.stop})")
             yield j, block
 
 

@@ -6,7 +6,7 @@ onto their span is sum_k mu_k(u) v_{mu_k} with coefficients obtained from the
 raw data by the triangular transform.  A dense symmetric-collocation solve is
 provided as the independent oracle for the whole pipeline; it imports
 scipy.linalg when it is called, not when this module is imported, so that a
-solve from stored grid rows runs on numpy alone.
+solve from stored basis values runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -15,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# BLOCK and grid_blocks are re-exported: a solve walks the grid in the
-# blocks that the build's grid pass used
-from .engine import BLOCK, GreedyState, grid_blocks, representer_blocks
+# BLOCK, grid_blocks and basis_values_in_place are re-exported: a solve
+# walks the grid in the blocks that the build's grid pass used, and forms
+# basis values with the pass's row GEMVs
+from .engine import (
+    BLOCK,
+    GreedyState,
+    basis_values_in_place,
+    grid_blocks,
+    representer_blocks,
+)
 from .errors import NumericalError
 from .functionals import FunctionalSet, gram, riesz_value
 from .kernels import KernelSpec, radial_kernel
@@ -39,38 +46,24 @@ class ProjectionSolution:
     newton_coefficients: np.ndarray
 
 
-# Rows of C per product in basis_values_in_place: the panel buffer is
-# min(PANEL, N) rows of the block's width
-PANEL = 64
-
-
-def basis_values_in_place(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """Overwrite raw, the N x width representer rows of a block, with the
-    basis values C @ raw and return it.  C is lower-triangular, so the rows
-    are formed in panels from the bottom up, raw[lo:hi] = C[lo:hi, :hi] @
-    raw[:hi] for hi = N, N - PANEL, ...: each product reads only rows that
-    are still raw and none multiplies C's zero upper triangle.  Each panel's
-    product goes to one buffer of min(PANEL, N) rows before it overwrites
-    its rows.  On the blocks of grid_blocks the values equal, bit for bit,
-    the panel product over the whole grid at a given BLAS thread count."""
-    n = raw.shape[0]
-    panel = np.empty((min(PANEL, n), raw.shape[1]))
-    for hi in range(n, 0, -PANEL):
-        lo = max(hi - PANEL, 0)
-        raw[lo:hi] = np.matmul(c[lo:hi, :hi], raw[:hi], out=panel[: hi - lo])
-    return raw
+def basis_value_blocks(state: GreedyState, points):
+    """Yield (J, values[:, J]) for each block J of grid_blocks: the blocks of
+    representer_blocks(state, points) turned into basis values in place by
+    basis_values_in_place, each a buffer that the next block overwrites.  On
+    a build's grid they equal, bit for bit, the basis values the build
+    stored (gridbasis.npy)."""
+    c = state.c_matrix()
+    for j, raw in representer_blocks(state, points):
+        yield j, basis_values_in_place(c, raw)
 
 
 def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:
-    """All basis functions on the points as one N x P array: the blocks of
-    representer_blocks(state, points) turned into basis values in place by
-    basis_values_in_place.  On a build's grid they equal, bit for bit,
-    basis_values_in_place of C and the build's stored rows."""
+    """All basis functions on the points as one N x P array, assembled from
+    basis_value_blocks."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    c = state.c_matrix()
     values = np.empty((state.n, len(pts)))
-    for j, raw in representer_blocks(state, pts):
-        values[:, j] = basis_values_in_place(c, raw)
+    for j, block in basis_value_blocks(state, pts):
+        values[:, j] = block
     return BasisEvaluation(points=pts, values=values)
 
 

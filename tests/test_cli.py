@@ -23,7 +23,12 @@ from greedypde.cli import main
 from greedypde.config import RunConfig, load_config, parse_config
 from greedypde.engine import restore_state, run
 from greedypde.errors import ConfigError, NumericalError
-from greedypde.functionals import FunctionalSet, disk_functional_set, read_functionals
+from greedypde.functionals import (
+    FunctionalSet,
+    disk_functional_set,
+    read_functionals,
+    riesz_value,
+)
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import KernelSpec
 from greedypde.runio import (
@@ -152,7 +157,7 @@ def built(tmp_path_factory):
 
 def test_build_writes_all_artifacts(built):
     expected = {"trace.csv", "selected.txt", "cmatrix.csv", "powergrid.csv",
-                "gridrows.npy", "gridrows.crc32", "report.txt", "rates.csv", "kernel.txt",
+                "gridbasis.npy", "gridbasis.crc32", "report.txt", "rates.csv", "kernel.txt",
                 "config.txt", "make_plots.py"}
     assert expected <= set(os.listdir(built["out"]))
 
@@ -330,7 +335,7 @@ def test_cli_round_trip_at_scale_0_3(tmp_path, capsys):
     assert open(os.path.join(basis, "kernel.txt")).read() == "m = 5\nd = 2\nscale = 0.3\n"
     fallback = str(tmp_path / "fallback")
     shutil.copytree(basis, fallback)
-    os.remove(os.path.join(fallback, "gridrows.npy"))
+    os.remove(os.path.join(fallback, "gridbasis.npy"))
     stored, recomputed = str(tmp_path / "stored"), str(tmp_path / "recomputed")
     assert main(["solve", "--config", cfg, "--basis", basis, "--out", stored]) == 0
     assert main(["solve", "--config", cfg, "--basis", fallback, "--out", recomputed]) == 0
@@ -414,7 +419,7 @@ def _assert_same_solve_outputs(out1, out2):
 def test_solve_from_stored_rows_matches_recomputation(built, tmp_path):
     basis = str(tmp_path / "basis")
     shutil.copytree(built["out"], basis)
-    os.remove(os.path.join(basis, "gridrows.npy"))
+    os.remove(os.path.join(basis, "gridbasis.npy"))
     stored, recomputed = str(tmp_path / "stored"), str(tmp_path / "recomputed")
     assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
                  "--out", stored]) == 0
@@ -431,10 +436,10 @@ def test_solve_from_stored_rows_evaluates_no_kernel(built, tmp_path, monkeypatch
 
 
 def test_solve_without_checksum_falls_back(built, tmp_path, monkeypatch):
-    # a basis built before gridrows.crc32 existed is solved as if it had no rows
+    # without its checksum, gridbasis.npy is not read
     basis = str(tmp_path / "basis")
     shutil.copytree(built["out"], basis)
-    os.remove(os.path.join(basis, "gridrows.crc32"))
+    os.remove(os.path.join(basis, "gridbasis.crc32"))
     stored, recomputed = str(tmp_path / "stored"), str(tmp_path / "recomputed")
     assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
                  "--out", stored]) == 0
@@ -444,6 +449,32 @@ def test_solve_without_checksum_falls_back(built, tmp_path, monkeypatch):
     # one block of grid points (fewer than 2 BLOCK), 40 picks in groups of 4
     assert len(calls) == _radial_calls_per_block(basis) < 40
     _assert_same_solve_outputs(stored, recomputed)
+
+
+def test_solve_of_an_older_build_reads_no_raw_rows_as_values(built, tmp_path, monkeypatch):
+    # an older build stored the raw representer rows as gridrows.npy, with
+    # their CRC-32 in gridrows.crc32, and no gridbasis.* files: the solve
+    # computes the basis values and gives the stored-values solve's bytes
+    basis = str(tmp_path / "basis")
+    shutil.copytree(built["out"], basis)
+    os.remove(os.path.join(basis, "gridbasis.npy"))
+    os.remove(os.path.join(basis, "gridbasis.crc32"))
+    state = greedypde.cli.load_basis(basis, load_config(built["cfg"]))
+    _, table = read_table_csv(os.path.join(basis, "powergrid.csv"))
+    raw = np.array([riesz_value(f, table[:, :2], state.spec)
+                    for f in read_functionals(os.path.join(basis, "selected.txt"))])
+    np.save(os.path.join(basis, "gridrows.npy"), raw)
+    with open(os.path.join(basis, "gridrows.npy"), "rb") as fh:
+        crc = zlib.crc32(fh.read())
+    with open(os.path.join(basis, "gridrows.crc32"), "w") as fh:
+        fh.write(f"{crc}\n")
+    stored, old = str(tmp_path / "stored"), str(tmp_path / "old")
+    assert main(["solve", "--config", built["cfg"], "--basis", built["out"],
+                 "--out", stored]) == 0
+    calls = _count_radial_calls(monkeypatch)
+    assert main(["solve", "--config", built["cfg"], "--basis", basis, "--out", old]) == 0
+    assert len(calls) == _radial_calls_per_block(basis)
+    _assert_same_solve_outputs(stored, old)
 
 
 _NO_SCIPY_CHILD = """\
@@ -523,8 +554,8 @@ def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
     assert main(["build", "--config", cfg, "--out", stored]) == 0
     recomputed = str(tmp_path / "recomputed")
     shutil.copytree(stored, recomputed)
-    os.remove(os.path.join(recomputed, "gridrows.npy"))
-    rows = np.load(os.path.join(stored, "gridrows.npy"))
+    os.remove(os.path.join(recomputed, "gridbasis.npy"))
+    rows = np.load(os.path.join(stored, "gridbasis.npy"))
     basis_bytes = rows.nbytes
     assert rows.shape[0] == 40 and basis_bytes > 2_000_000
     block_bytes = 8 * rows.shape[0] * (2 * BLOCK - 1)  # the widest block
@@ -540,14 +571,14 @@ def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a block, which its basis values overwrite in place, and one panel
-        # of the product, which at N = 40 is as large as the block; the
-        # slack covers the CSVs and the grid
+        # a block, which holds or becomes its basis values, and one row of
+        # them; the slack covers the CSVs and the grid
         assert peak <= 2 * block_bytes + 1_000_000, (basis, peak / block_bytes)
 
 
 # 200 picks of a 330-candidate desk set: C is 320 kB, more than the slack of
-# the memory tests below, so one more copy of it shows
+# the memory tests below, so one more copy of it shows, and so does C held
+# beside the stored values' block
 _WIDE_C_CFG = SMALL_CFG.replace("n_max = 40", "n_max = 200")
 
 
@@ -558,13 +589,12 @@ def test_solve_holds_c_once(tmp_path):
     assert main(["build", "--config", cfg, "--out", stored]) == 0
     recomputed = str(tmp_path / "recomputed")
     shutil.copytree(stored, recomputed)
-    os.remove(os.path.join(recomputed, "gridrows.npy"))
-    n, n_points = np.load(os.path.join(stored, "gridrows.npy")).shape
+    os.remove(os.path.join(recomputed, "gridbasis.npy"))
+    n, n_points = np.load(os.path.join(stored, "gridbasis.npy")).shape
     assert n == 200
     c_bytes = 8 * n * n
     widest = max(j.stop - j.start for j in greedypde.solver.grid_blocks(n_points))
-    # the reader's finiteness mask of a row segment, the O(P) per-point
-    # arrays and the CSV rows
+    # the O(P) per-point arrays and the CSV rows
     slack = 2**18
     assert c_bytes > slack
     for k, basis in enumerate((stored, recomputed)):
@@ -577,9 +607,10 @@ def test_solve_holds_c_once(tmp_path):
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # C, one block that becomes its basis values in place and one panel
-        # of the product
-        budget = 8 * n * widest + 8 * greedypde.solver.PANEL * widest + c_bytes
+        # one block of basis values and one width-sized row; C is freed
+        # before the stored values are read, while computed values need it
+        # for their products
+        budget = 8 * n * widest + 8 * widest + (c_bytes if basis == recomputed else 0)
         assert peak <= budget + slack, (basis, (peak - budget) / c_bytes)
 
 
@@ -650,32 +681,33 @@ def grid_bases(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def wide_grid_basis(tmp_path_factory):
-    """A basis of 200 picks, so that C spans several panels of the basis
-    product, on a grid of more than 2 BLOCK points; like `built`."""
+    """A basis of 200 picks, whose basis values take 200 row GEMVs per
+    block, on a grid of more than 2 BLOCK points; like `built`."""
     tmp = tmp_path_factory.mktemp("wide_grid_basis")
     cfg = write_cfg(tmp, _WIDE_C_CFG.replace("0.08", "0.05"))
     out = str(tmp / "basis")
     assert main(["build", "--config", cfg, "--out", out]) == 0
-    assert greedypde.solver.PANEL < 200
+    assert len(read_functionals(os.path.join(out, "selected.txt"))) == 200
     return dict(cfg=cfg, out=out)
 
 
-# Solves a basis, from its stored rows and from a copy without them, and
-# compares the outputs byte for byte with the one-product reference: the
-# formulas of a solve that is not streamed, on the panel product of C and
-# gridrows.npy whole.  The panels are written out here, not taken from the
-# solver: rows [lo, hi) of the values are C[lo:hi, :hi] times rows [0, hi)
-# of the raw rows, for hi = N, N - 64, ...
+# Solves a basis, from its stored values and from a copy without them, and
+# compares the outputs byte for byte with the reference: the formulas of a
+# solve that is not streamed, on basis values formed by row GEMVs over the
+# grid's blocks.  The GEMVs are written out here, not taken from the
+# solver: on each block J of grid_blocks, row k of the values is
+# C[k, :k+1] times rows [0, k+1) of a C-ordered copy of the representer
+# rows on J.  The stored gridbasis.npy must hold these values bit for bit.
 _BIT_IDENTITY_CHILD = """\
 import filecmp, os, shutil, sys
 import numpy as np
 from greedypde import runio
 from greedypde.cli import load_basis, main
 from greedypde.config import load_config
-from greedypde.functionals import GaussianBump, data_vector
+from greedypde.functionals import GaussianBump, data_vector, riesz_value
 from greedypde.geometry import disk_candidates, evaluation_grid
 from greedypde.kernels import kernel_value
-from greedypde.solver import data_to_newton
+from greedypde.solver import data_to_newton, grid_blocks
 
 cfg_path, basis, out = sys.argv[1:]
 cfg = load_config(cfg_path)
@@ -684,11 +716,14 @@ problem = GaussianBump(center=cfg.problem_center, shape=cfg.problem_shape)
 points = evaluation_grid(disk_candidates(cfg.domain_count, cfg.boundary_count),
                          cfg.grid_spacing).points
 mu = data_to_newton(state, data_vector(state.fset, range(state.n), problem))
-rows = np.load(os.path.join(basis, "gridrows.npy"))
 c = state.c_matrix()
-values = np.empty_like(rows)
-for hi in range(state.n, 0, -64):
-    values[max(hi - 64, 0):hi] = c[max(hi - 64, 0):hi, :hi] @ rows[:hi]
+values = np.empty((state.n, len(points)))
+for j in grid_blocks(len(points)):
+    raw = np.array([riesz_value(f, points[j], state.spec) for f in state.fset])
+    for k in range(state.n):
+        values[k, j] = c[k, :k + 1] @ raw[:k + 1]
+if np.load(os.path.join(basis, "gridbasis.npy")).tobytes() != values.tobytes():
+    print("gridbasis.npy")
 kxx = kernel_value(state.spec, np.zeros(2), np.zeros(2))
 p_delta = np.sqrt(np.maximum(kxx - (values**2).sum(axis=0), 0.0))
 partial = np.cumsum(values * mu[:, None], axis=0)
@@ -709,7 +744,7 @@ runio.write_table_csv(os.path.join(out + "-ref", "solution.csv"),
 
 fallback = out + "-basis"
 shutil.copytree(basis, fallback)
-os.remove(os.path.join(fallback, "gridrows.npy"))
+os.remove(os.path.join(fallback, "gridbasis.npy"))
 for path, source in (("stored", basis), ("fallback", fallback)):
     assert main(["solve", "--config", cfg_path, "--basis", source,
                  "--out", f"{out}-{path}"]) == 0
@@ -740,7 +775,7 @@ def test_streamed_solve_is_bit_identical_to_one_product(grid_bases, wide_grid_ba
 
 @pytest.mark.parametrize("override", ["grid_spacing = 0.1", "boundary_count = 24"])
 def test_solve_on_another_grid_falls_back(built, tmp_path, monkeypatch, override):
-    assert os.path.exists(os.path.join(built["out"], "gridrows.npy"))
+    assert os.path.exists(os.path.join(built["out"], "gridbasis.npy"))
     cfg_text = SMALL_CFG + override + "\n"
     out = str(tmp_path / "s")
     calls = _count_radial_calls(monkeypatch)
@@ -821,13 +856,21 @@ def _corrupted_basis(built, tmp_path_factory, name, corrupt, binary=False):
     return basis
 
 
-def _reseal_grid_rows(basis):
-    """Record the CRC-32 of gridrows.npy as it now is, so that the file's own
-    checks, not the checksum, have to catch what is wrong with it."""
-    with open(os.path.join(basis, "gridrows.npy"), "rb") as fh:
-        crc = zlib.crc32(fh.read())
-    with open(os.path.join(basis, "gridrows.crc32"), "w") as fh:
-        fh.write(f"{crc}\n")
+def _reseal(basis):
+    """Record the CRC-32s of gridbasis.npy and cmatrix.csv as they now are,
+    so that the files' own checks, not the checksums, have to catch what is
+    wrong with them."""
+    lines = []
+    for name in ("gridbasis.npy", "cmatrix.csv"):
+        with open(os.path.join(basis, name), "rb") as fh:
+            lines.append(f"{zlib.crc32(fh.read())} {name}\n")
+    with open(os.path.join(basis, "gridbasis.crc32"), "w") as fh:
+        fh.write("".join(lines))
+
+
+def _flip_first_checksum(text):
+    crc, rest = text.split(" ", 1)
+    return f"{int(crc) ^ 1} {rest}"
 
 
 @pytest.mark.parametrize("command,name,corrupt", [
@@ -849,19 +892,19 @@ def _reseal_grid_rows(basis):
     ("report", "trace.csv", lambda t: t + "4,0.5,nan\n"),
     ("report", "trace.csv", lambda t: t.splitlines(True)[0]),
     ("solve", "selected.txt", lambda t: t[:2] + "nan" + t[t.index(" ", 2):]),
-    ("solve", "gridrows.npy", lambda b: b[: len(b) // 2]),
-    ("solve", "gridrows.npy", _edit_npy(lambda rows: rows[:-1])),
-    ("solve", "gridrows.npy", _edit_npy(_set_nan)),
-    ("solve", "gridrows.npy", _edit_npy(lambda rows: rows.astype(object))),
-    ("solve", "gridrows.npy", lambda b: b[:8] + bytes([1]) + b[9:]),
+    ("solve", "gridbasis.npy", lambda b: b[: len(b) // 2]),
+    ("solve", "gridbasis.npy", _edit_npy(lambda rows: rows[:-1])),
+    ("solve", "gridbasis.npy", _edit_npy(_set_nan)),
+    ("solve", "gridbasis.npy", _edit_npy(lambda rows: rows.astype(object))),
+    ("solve", "gridbasis.npy", lambda b: b[:8] + bytes([1]) + b[9:]),
     ("solve", "cmatrix.csv", lambda t: ""),
     ("solve", "powergrid.csv", lambda t: t.splitlines(True)[0]),
-    ("solve", "gridrows.crc32", lambda t: f"{int(t) ^ 1}\n"),
-    ("solve", "gridrows.crc32", lambda t: "abc\n"),
+    ("solve", "gridbasis.crc32", _flip_first_checksum),
+    ("solve", "gridbasis.crc32", lambda t: "abc\n"),
     ("solve", "cmatrix.csv", _AS_DIRECTORY),
     ("solve", "selected.txt", _AS_DIRECTORY),
-    ("solve", "gridrows.npy", _AS_DIRECTORY),
-    ("solve", "gridrows.crc32", _AS_DIRECTORY),
+    ("solve", "gridbasis.npy", _AS_DIRECTORY),
+    ("solve", "gridbasis.crc32", _AS_DIRECTORY),
     ("solve", "kernel.txt", _AS_DIRECTORY),
     ("report", "trace.csv", _AS_DIRECTORY),
 ], ids=["cmatrix-row-cut", "cmatrix-ragged", "cmatrix-non-numeric",
@@ -879,8 +922,8 @@ def test_malformed_artifact_exits_2_naming_file(built, tmp_path_factory, capsys,
                                                 command, name, corrupt):
     basis = _corrupted_basis(built, tmp_path_factory, name, corrupt,
                              binary=name.endswith(".npy"))
-    if name == "gridrows.npy" and corrupt is not _AS_DIRECTORY:
-        _reseal_grid_rows(basis)
+    if name in ("gridbasis.npy", "cmatrix.csv") and corrupt is not _AS_DIRECTORY:
+        _reseal(basis)
     capsys.readouterr()
     # pytest intercepts warnings before they reach stderr, so record them
     with warnings.catch_warnings(record=True) as caught:
@@ -929,13 +972,13 @@ def _cut_in_a_later_row_segment(raw):
 def test_grid_rows_fault_in_a_later_block_exits_2_naming_file(grid_bases, tmp_path_factory,
                                                               capsys, corrupt):
     built = grid_bases[max(grid_bases)]
-    basis = _corrupted_basis(built, tmp_path_factory, "gridrows.npy", corrupt, binary=True)
-    _reseal_grid_rows(basis)
+    basis = _corrupted_basis(built, tmp_path_factory, "gridbasis.npy", corrupt, binary=True)
+    _reseal(basis)
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert _run_on_basis(built, "solve", basis, basis + "-solved") == 2
-    assert "gridrows.npy" in capsys.readouterr().err
+    assert "gridbasis.npy" in capsys.readouterr().err
     assert not caught, [str(w.message) for w in caught]
     assert not os.path.exists(basis + "-solved")
 
@@ -971,14 +1014,30 @@ def _move_on_line_151(column, step):
 ], ids=["column-38-minus-1", "largest-toward-zero"])
 def test_c_that_is_not_orthonormal_exits_3_naming_it(desk_basis, tmp_path_factory, capsys,
                                                      corrupt, path):
+    # beside stored values, the checksum that ties them to C catches the
+    # edit first (exit 2); without them, the power check does (exit 3)
     basis = _corrupted_basis(desk_basis, tmp_path_factory, "cmatrix.csv", corrupt)
     if path == "fallback":
-        os.remove(os.path.join(basis, "gridrows.npy"))
+        os.remove(os.path.join(basis, "gridbasis.npy"))
     capsys.readouterr()
-    assert _run_on_basis(desk_basis, "solve", basis, basis + "-solved") == 3
+    assert _run_on_basis(desk_basis, "solve", basis, basis + "-solved") == (
+        2 if path == "stored" else 3)
     err = capsys.readouterr().err
     assert "cmatrix.csv" in err
-    assert ("gridrows.npy" if path == "stored" else "selected.txt") in err
+    assert ("gridbasis.crc32" if path == "stored" else "selected.txt") in err
+    assert not os.path.exists(basis + "-solved")
+
+
+def test_small_edit_of_c_beside_stored_values_exits_2_naming_it(desk_basis,
+                                                                tmp_path_factory, capsys):
+    # the diagonal of line 151 scaled by 1 + 1e-6 leaves the unclamped power
+    # at about -9e-12 K(0), which the power check lets pass; the checksum
+    # does not
+    basis = _corrupted_basis(desk_basis, tmp_path_factory, "cmatrix.csv",
+                             _move_on_line_151(lambda row: 150, lambda v: 1e-6 * v))
+    capsys.readouterr()
+    assert _run_on_basis(desk_basis, "solve", basis, basis + "-solved") == 2
+    assert "cmatrix.csv" in capsys.readouterr().err
     assert not os.path.exists(basis + "-solved")
 
 
@@ -1047,9 +1106,9 @@ def test_corrupted_grid_rows_never_raise(built, tmp_path_factory, data):
         changed.append(out != raw)
         return out
 
-    basis = _corrupted_basis(built, tmp_path_factory, "gridrows.npy", corrupt,
+    basis = _corrupted_basis(built, tmp_path_factory, "gridbasis.npy", corrupt,
                              binary=True)
-    rc = _assert_exit_names_file(built, "solve", basis, "gridrows.npy")
+    rc = _assert_exit_names_file(built, "solve", basis, "gridbasis.npy")
     # any change to the file fails its checksum: never a silently wrong solve
     assert not (changed[0] and rc == 0)
 

@@ -371,6 +371,18 @@ def test_rho_matches_basis_oracle_at_every_step(m, mode, stop_tol):
     assert np.isnan(no_grid.rho).all()
 
 
+def _row_gemv_values(c, raw):
+    """The basis values C @ raw of the N x P representer rows, formed as the
+    grid pass forms them: on each block J of grid_blocks, row k is the GEMV
+    C[k, :k+1] @ raw[:k+1, J] of a C-ordered copy of the block."""
+    values = np.empty_like(raw)
+    for j in grid_blocks(raw.shape[1]):
+        block = np.ascontiguousarray(raw[:, j])
+        for k in range(len(c)):
+            values[k, j] = c[k, : k + 1] @ block[: k + 1]
+    return values
+
+
 def test_grid_power_matches_basis_oracle_after_early_stop():
     geometry = disk_candidates(60, 10)
     fset = disk_functional_set(geometry)
@@ -387,11 +399,16 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
     oracle = power_on_deltas(state, basis)
     assert np.abs(trace.grid_power - oracle).max() <= 1e-12
     # the pass hands over each block of the grid once, in order, holding
-    # the representer rows of the picks bit for bit
+    # the basis values of the picks: bit for bit the row GEMVs of C and the
+    # block's representer rows, which basis_values_in_place forms too
     assert [j for j, _ in blocks] == grid_blocks(len(grid)) and len(blocks) == 3
-    rows = np.hstack([raw for _, raw in blocks])
-    expected = np.array([riesz_value(fset[i], grid.points, SPEC) for i in state.selected])
-    assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    raw = np.array([riesz_value(fset[i], grid.points, SPEC) for i in state.selected])
+    expected = _row_gemv_values(state.c_matrix(), raw)
+    values = np.hstack([block for _, block in blocks])
+    assert values.shape == expected.shape and values.tobytes() == expected.tobytes()
+    for j, block in blocks:
+        in_place = basis_values_in_place(state.c_matrix(), np.ascontiguousarray(raw[:, j]))
+        assert in_place.tobytes() == block.tobytes()
 
     _, no_grid = run(fset, SPEC, n_max=5, grid_row_sink=blocks.append)
     assert no_grid.grid_power is None
@@ -401,7 +418,8 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
 def test_extended_grid_pass_copies_the_rows_at_y():
     # the pass copies the rows that the extended rule evaluated at Y instead
     # of evaluating them again; the blocks it hands over are still the
-    # representer rows bit for bit, and Y given unsorted and with repeats
+    # basis values of the representer rows bit for bit, and Y given
+    # unsorted and with repeats
     # selects and reports what its sorted, unique indices do
     geometry = disk_candidates(60, 10)
     fset = disk_functional_set(geometry)
@@ -413,9 +431,8 @@ def test_extended_grid_pass_copies_the_rows_at_y():
     state, trace = run(fset, spec, mode="extended", n_max=30, eval_grid=grid,
                        y_indices=np.r_[y[::-1], y[:5]],
                        grid_row_sink=lambda j, raw: blocks.append(raw.copy()))
-    rows = np.hstack(blocks)
-    expected = np.array([riesz_value(fset[i], grid.points, spec) for i in state.selected])
-    assert rows.tobytes() == expected.tobytes()
+    raw = np.array([riesz_value(fset[i], grid.points, spec) for i in state.selected])
+    assert np.hstack(blocks).tobytes() == _row_gemv_values(state.c_matrix(), raw).tobytes()
     sorted_state, sorted_trace = run(fset, spec, mode="extended", n_max=30,
                                      eval_grid=grid, y_indices=y)
     assert state.selected == sorted_state.selected
@@ -565,16 +582,12 @@ def test_run_computes_one_distance_vector_per_step(monkeypatch):
 
 
 def _run_keeping_rows(fset, spec, mode, n_max, grid):
-    """run with a grid, and copies of the blocks of raw rows it hands over."""
+    """run with a grid, and copies of the blocks of basis values it hands
+    over."""
     blocks = []
     state, trace = run(fset, spec, mode=mode, n_max=n_max, eval_grid=grid,
                        grid_row_sink=lambda j, raw: blocks.append((j, raw.copy())))
     return state, trace, blocks
-
-
-# cond_C is C[0, 0] * L[0, 0] = 1 at the first step, which roundoff can put
-# an ulp or two below 1
-_COND_FLOOR = 1.0 - 4 * np.finfo(float).eps
 
 
 @settings(deadline=None, max_examples=60)
@@ -597,13 +610,14 @@ def test_run_invariants_over_the_config_space(m, scale, mode, n_domain, n_bounda
     assert len(set(state.selected)) == state.n == len(trace.steps)
     assert (np.diff(trace.sigma) <= 0.0).all(), np.diff(trace.sigma).max()
     assert np.isfinite(trace.rho).all() and np.isfinite(trace.cond_c).all()
-    assert (trace.cond_c >= _COND_FLOOR).all(), trace.cond_c.min()
-    # the solve's own gate on the stored rows: a build must never write a
+    # cond_1 >= 1 for every matrix: the estimate of C[0, 0] * L[0, 0] = 1 at
+    # the first step must not round below it
+    assert (trace.cond_c >= 1.0).all(), trace.cond_c.min()
+    # the solve's own gate on the stored values: a build must never write a
     # basis that its solve rejects
     c = state.c_matrix()
     kxx = radial_kernel(spec, 0.0)
-    p2_min = min(unclamped_power(spec, basis_values_in_place(c, raw.copy())).min()
-                 for _, raw in blocks)
+    p2_min = min(unclamped_power(spec, values).min() for _, values in blocks)
     assert p2_min >= -1e-10 * kxx, p2_min / kxx
 
     again, again_trace, again_blocks = _run_keeping_rows(fset, spec, mode, n_max, grid)

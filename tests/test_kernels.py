@@ -398,7 +398,7 @@ def test_representer_row_seeds_with_k0_and_k1_only(monkeypatch, rng, m):
 @pytest.mark.parametrize("m", [4, 6])
 def test_kernel_on_the_diagonal_calls_no_kv(monkeypatch, m):
     # K(x, x) is the analytic limit 2^(nu-1) Gamma(nu): a solve from stored
-    # grid rows needs it for the power function and must not load SciPy
+    # basis values needs it for the power function and must not load SciPy
     calls = []
     monkeypatch.setattr(kernels, "kv", lambda order, t: calls.append(order))
     spec = KernelSpec(m=m, d=2)
