@@ -58,7 +58,8 @@ def _parser() -> argparse.ArgumentParser:
 def _output_dir(out_dir: str):
     """Yield a fresh `<out_dir>.partial-<pid>` directory, created before the
     block runs so that an unusable out_dir fails at once; it becomes out_dir
-    when the block completes and is removed when the block raises."""
+    when the block completes, and is removed when the block raises or the
+    rename fails (a ConfigError that names out_dir)."""
     if os.path.exists(out_dir):
         raise ConfigError(f"output directory {out_dir!r} already exists; remove it first")
     tmp = f"{out_dir}.partial-{os.getpid()}"
@@ -73,18 +74,23 @@ def _output_dir(out_dir: str):
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    os.replace(tmp, out_dir)
+    try:
+        os.replace(tmp, out_dir)
+    except OSError as exc:  # say, a directory that another process made there
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise ConfigError(f"output directory {out_dir!r} cannot be written: "
+                          f"{exc.strerror or exc}") from exc
 
 
 @contextlib.contextmanager
-def _naming(path: str):
-    """Report a file that cannot be read or is malformed as a ConfigError
-    that names it."""
+def _naming(path: str, malformed: tuple = (ValueError,)):
+    """Report a file that cannot be read or written, or that raises one of
+    the malformed exception types, as a ConfigError that names it."""
     try:
         yield
     except OSError as exc:  # the file the system names may be another one
         raise ConfigError(f"{exc.filename or path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
+    except malformed as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -92,6 +98,20 @@ def _read_artifact(reader, path: str, *args):
     """reader(path, *args), with errors reported as _naming does."""
     with _naming(path):
         return reader(path, *args)
+
+
+def _write_artifact(writer, path: str, *args) -> None:
+    """writer(path, *args), with an OSError (a full disk, a file size limit,
+    a denied write) reported as a ConfigError that names the file."""
+    with _naming(path, malformed=()):
+        writer(path, *args)
+
+
+def _write_text(path: str, text: str) -> None:
+    """The text as the file at path, with errors reported as _write_artifact
+    does."""
+    with _naming(path, malformed=()), open(path, "w") as fh:
+        fh.write(text)
 
 
 def _read_c_matrix(path: str) -> np.ndarray:
@@ -180,14 +200,13 @@ def _write_analysis(out: str, trace) -> None:
         "final rho": f"{trace.rho[-1]:.6e}",
         "max rho/sigma": f"{ratio.max():.4f}" if ratio.size else "n/a",
     }
-    with open(os.path.join(out, "report.txt"), "w") as fh:
-        fh.write(runio.format_report(report))
-    runio.write_rates_csv(
-        os.path.join(out, "rates.csv"),
+    _write_text(os.path.join(out, "report.txt"), runio.format_report(report))
+    _write_artifact(
+        runio.write_rates_csv, os.path.join(out, "rates.csv"),
         [("sigma", sigma_rate, *window), ("rho", rho_rate, *window),
          ("cond_C", cond_rate, *window)],
     )
-    runio.write_plot_script(os.path.join(out, "make_plots.py"))
+    _write_artifact(runio.write_plot_script, os.path.join(out, "make_plots.py"))
 
 
 def cmd_build(cfg: RunConfig, out_dir: str) -> None:
@@ -204,34 +223,35 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
         # The run's last pass over the grid writes each block of the basis
         # values into gridbasis.npy, so no N x P array is held.
         values_path = os.path.join(tmp, "gridbasis.npy")
-        with runio.write_grid_blocks(values_path, len(grid)) as grid_value_sink:
+        with (_naming(values_path, malformed=()),
+              runio.write_grid_blocks(values_path, len(grid)) as grid_value_sink):
             state, trace = run(
                 fset, spec, mode=cfg.mode, n_max=cfg.n_max, stop_tol=cfg.stop_tol,
                 eval_grid=grid, y_indices=y_indices, grid_row_sink=grid_value_sink,
             )
-        # The other writes need only the picks, C and the trace: the Newton
-        # columns, L and the rest of the selection state go first, so that
-        # the writes' buffers land below the run's peak.
+        # The other writes need only the picks, C and the trace.  The run
+        # freed the Newton columns and L before its grid pass; the rest of
+        # the selection state goes here, so that the writes' buffers land
+        # below the run's peak.
         selected, cmat = state.selected, state.c_matrix()
         del state
 
-        runio.write_trace_csv(os.path.join(tmp, "trace.csv"), trace)
-        write_functionals(os.path.join(tmp, "selected.txt"),
-                          [fset[i] for i in selected])
+        _write_artifact(runio.write_trace_csv, os.path.join(tmp, "trace.csv"), trace)
+        _write_artifact(write_functionals, os.path.join(tmp, "selected.txt"),
+                        [fset[i] for i in selected])
         cmat_path = os.path.join(tmp, "cmatrix.csv")
-        runio.write_matrix_csv(cmat_path, cmat)
+        _write_artifact(runio.write_matrix_csv, cmat_path, cmat)
         # once both files exist: the stored values hold only with this C
-        runio.write_checksums(os.path.join(tmp, "gridbasis.crc32"),
-                              (values_path, cmat_path))
-        runio.write_table_csv(
-            os.path.join(tmp, "powergrid.csv"),
+        _write_artifact(runio.write_checksums, os.path.join(tmp, "gridbasis.crc32"),
+                        (values_path, cmat_path))
+        _write_artifact(
+            runio.write_table_csv, os.path.join(tmp, "powergrid.csv"),
             ["x1", "x2", "p2_delta"],
             [grid.points[:, 0], grid.points[:, 1], trace.grid_power],
         )
-        with open(os.path.join(tmp, "kernel.txt"), "w") as fh:
-            fh.write("".join(f"{k} = {v}\n" for k, v in asdict(spec).items()))
-        with open(os.path.join(tmp, "config.txt"), "w") as fh:
-            fh.write(dump_config(cfg))
+        _write_text(os.path.join(tmp, "kernel.txt"),
+                    "".join(f"{k} = {v}\n" for k, v in asdict(spec).items()))
+        _write_text(os.path.join(tmp, "config.txt"), dump_config(cfg))
         _write_analysis(tmp, trace)
 
 
@@ -344,24 +364,23 @@ def cmd_solve(cfg: RunConfig, basis_dir: str, out_dir: str) -> None:
         normalized = errors / errors[0]
         steps = np.arange(1, n + 1)
 
-        runio.write_table_csv(
-            os.path.join(tmp, "errors.csv"),
+        _write_artifact(
+            runio.write_table_csv, os.path.join(tmp, "errors.csv"),
             ["N", "max_abs_error", "normalized_error"],
             [steps, errors, normalized],
         )
-        runio.write_table_csv(
-            os.path.join(tmp, "coeffs.csv"),
+        _write_artifact(
+            runio.write_table_csv, os.path.join(tmp, "coeffs.csv"),
             ["N", "coeff_sq_cumsum"],
             [steps, np.cumsum(mu**2)],
         )
-        runio.write_table_csv(
-            os.path.join(tmp, "solution.csv"),
+        _write_artifact(
+            runio.write_table_csv, os.path.join(tmp, "solution.csv"),
             ["x1", "x2", "u_true", "u_approx", "abs_error", "power_delta"],
             [grid.points[:, 0], grid.points[:, 1], u_true, u_approx,
              np.abs(u_true - u_approx), p_delta],
         )
-        with open(os.path.join(tmp, "config.txt"), "w") as fh:
-            fh.write(dump_config(cfg))
+        _write_text(os.path.join(tmp, "config.txt"), dump_config(cfg))
 
 
 def cmd_report(cfg: RunConfig, out_dir: str) -> None:

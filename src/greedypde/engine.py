@@ -21,9 +21,12 @@ estimate solves nothing and copies nothing.  `run` allocates the Newton
 columns and C once for n_max rows, and L at C's capacity on its first
 condition estimate, and never copies them; np.zeros commits pages only as
 rows are written, so the rows a converged run never reaches cost no
-resident memory.  A state driven through init/extend directly grows its
-arrays by doubling.  Nor does any reader copy C: c_matrix is a read-only
-view of its storage, so the solver and the CLI hold C once per process.
+resident memory.  Nothing after the last step reads the Newton columns or
+L, so `run` frees both then: the state it returns holds C, the picks and
+the powers, as a restored state does, and takes no further steps.  A state
+driven through init/extend directly grows its arrays by doubling.  Nor does
+any reader copy C: c_matrix is a read-only view of its storage, so the
+solver and the CLI hold C once per process.
 The operator-delta half of a column is the bilaplacian at radii that recur
 from step to step, so the state keeps one table of them
 (functionals.BilaplacianTable) and each distinct radius is evaluated once
@@ -45,8 +48,10 @@ extended mode it copies the rows at Y instead of evaluating them again.  The
 largest power over the grid after each row is the trace's rho column, and
 the final powers are its grid_power.  Each block of basis values goes to
 the caller's sink once used (the CLI writes gridbasis.npy from it), so a
-run holds one N x |J| block, never an N x P array, and its peak is the pass
-beside the state's arrays.
+run holds one N x |J| block, never an N x P array.  The pass holds it beside
+C, the O(|Lambda| + P) powers and, in extended mode, the rows at Y, but not
+beside the Newton columns, so a run whose n_max x |Lambda| columns outweigh
+one block (as at every benchmark scale) peaks at its last selection step.
 """
 
 from __future__ import annotations
@@ -106,7 +111,9 @@ def _with_capacity(arr: np.ndarray, cap: int, n: int, axes: int = 1) -> np.ndarr
 
 class GreedyState:
     """Mutable selection state over a fixed functional set, with room for
-    `rows` selected functionals before its arrays grow."""
+    `rows` selected functionals before its arrays grow.  The state that
+    `run` returns, like a restored one, holds no Newton columns and takes no
+    further steps."""
 
     def __init__(self, fset: FunctionalSet, spec: KernelSpec,
                  rows: int = _INITIAL_CAPACITY):
@@ -133,7 +140,8 @@ class GreedyState:
     @property
     def newton_columns(self) -> np.ndarray:
         """(N, |Lambda|) matrix; row k holds (lam, mu_k) over the set.  A
-        restored state holds none (0 rows)."""
+        restored state, and the state that run returns, hold none (0 rows):
+        run frees them after its last step."""
         return self._columns[: self.n]
 
     def c_matrix(self) -> np.ndarray:
@@ -157,8 +165,8 @@ class GreedyState:
         Each call copies in the rows of the steps since the last one (one
         row per call in a run) and reads the leading block of L in place,
         so a step allocates no N x N array, and a state that never asks
-        holds no L.  A restored state has no Newton columns, so its
-        estimate solves with C instead."""
+        holds no L.  A restored state, or the state that run returns, has
+        no Newton columns, so its estimate solves with C instead."""
         n = self.n
         norm1 = float(self._c_abs_sums[:n].max()) if n else 0.0
         if len(self._columns) < n:
@@ -179,14 +187,15 @@ class GreedyState:
 
         A state sized for a run counts its n_max rows from the first step on,
         whether or not their pages are committed yet; L counts from the first
-        condition estimate, which allocates it."""
+        condition estimate, which allocates it.  The state that run returns
+        counts neither, since run frees both after its last step."""
         return (self._columns.size + self._c.size + self._c_abs_sums.size
                 + self._l.size + self.diag.size + self.residual_power.size)
 
     def _reserve_row(self) -> None:
         """Make room for one more selected functional."""
         n = self.n
-        if n == len(self._c):
+        if n == len(self._columns):
             cap = max(2 * n, _INITIAL_CAPACITY)
             self._columns = _with_capacity(self._columns, cap, n)
             self._c = _with_capacity(self._c, cap, n, axes=2)
@@ -269,6 +278,9 @@ def extend(state: GreedyState, chosen: int,
             f"functional {chosen} has no residual power left (P^2 = {r!r})"
         )
     N = state.n
+    if len(state._columns) < N:
+        raise ValueError("the state holds no Newton columns (run frees them "
+                         "after its last step), so it takes no further steps")
     state._reserve_row()
     cols = state._columns[:N]
     ctri = state._c[:N, :N]
@@ -434,7 +446,8 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     v_{mu_k}(x) = (C @ raw)[k, x] on the block's points (a buffer that the
     next block overwrites, as in representer_blocks).  They do not depend on
     the problem, so a solve on the same grid can read them instead of
-    evaluating the representers again.
+    evaluating the representers again.  The returned state holds no Newton
+    columns and no L: run frees them after the last step.
     """
     if mode not in ("standard", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -501,6 +514,12 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
                             else math.nan)
 
     n_steps = len(rows["sigma"])
+    # The grid pass reads only the picks, C and the rows at Y, so the Newton
+    # columns and L go before it; they are rebound, since a [:0] view would
+    # keep their storage.  So the pass holds its block beside C, not beside
+    # the columns, and a run peaks at its last step.
+    state._columns = np.zeros((0, len(fset)))
+    state._l, state._l_rows = np.zeros((0, 0)), 0
     if eval_grid is not None:
         # the rows at Y are already evaluated
         known = (y_indices, y_raw[: state.n]) if mode == "extended" else None

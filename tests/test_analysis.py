@@ -33,6 +33,18 @@ def test_fit_rate_default_window_is_second_half():
     assert fit_rate(xs, ys) == pytest.approx(fit_rate(xs, ys, window=(50, 100)))
 
 
+def test_fit_rate_window_is_inclusive_at_both_ends():
+    # a rate -1 law with the samples at 3 and 10 moved off it: the window
+    # [3, 10] fits both of them, and [4, 9] neither
+    xs = np.arange(1, 16, dtype=float)
+    ys = 1.0 / xs
+    ys[[2, 9]] *= (2.0, 0.5)
+    inside = slice(2, 10)
+    expected = np.polyfit(np.log(xs[inside]), np.log(ys[inside]), 1)[0]
+    assert fit_rate(xs, ys, window=(3, 10)) == expected
+    assert fit_rate(xs, ys, window=(4, 9)) == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_fit_rate_errors():
     xs = np.arange(1, 21, dtype=float)
     with pytest.raises(ValueError):

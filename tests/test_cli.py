@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import io
 import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -253,6 +255,61 @@ def test_output_directory_under_a_file_exits_2_naming_it(tmp_path, capsys,
     assert out in capsys.readouterr().err
     assert os.path.isfile(cfg)
     assert not calls  # refused before the greedy run
+
+
+def test_output_directory_made_meanwhile_exits_2_naming_it(tmp_path, capsys,
+                                                          monkeypatch):
+    # another writer makes out/x while the build runs: the rename of the
+    # partial directory fails, and the build exits 2, leaves the other
+    # writer's directory as it is and removes its own partial one
+    out = tmp_path / "out"
+
+    def racing_run(*args, **kwargs):
+        (out / "x").mkdir(parents=True)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(greedypde.cli, "run", racing_run)
+    cfg = write_cfg(tmp_path)
+    capsys.readouterr()
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Traceback" not in err
+    assert os.listdir(out) == ["x"]
+    assert not list(tmp_path.glob("out.partial-*"))
+
+
+# A command in a child process whose files may not grow past a size limit
+# (SIGXFSZ ignored, so a write past it fails with EFBIG); the limit acts on
+# the child only.
+_SIZE_LIMITED_CHILD = """\
+import resource, signal, sys
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+from greedypde.cli import main
+raise SystemExit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("command, limit, name", [
+    ("build", 2**16, "gridbasis.npy"), ("solve", 2**14, "solution.csv")])
+def test_write_past_a_file_size_limit_exits_2_naming_the_file(built, tmp_path, command,
+                                                              limit, name):
+    resource = pytest.importorskip("resource")
+    if not (hasattr(resource, "RLIMIT_FSIZE") and hasattr(signal, "SIGXFSZ")):
+        pytest.skip("no file size limit on this platform")
+    args = ["build"] if command == "build" else ["solve", "--basis", built["out"]]
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(greedypde.cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", _SIZE_LIMITED_CHILD, str(limit), *args,
+         "--config", built["cfg"], "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2, child.stderr
+    assert name in child.stderr and os.strerror(errno.EFBIG) in child.stderr
+    assert "Traceback" not in child.stderr
+    assert not out.exists() and not list(tmp_path.glob("out.partial-*"))
 
 
 @pytest.mark.parametrize("key, value", [("workers", "-3"), ("stop_tol", "1")],
@@ -796,6 +853,27 @@ def test_solve_on_another_grid_falls_back(built, tmp_path, monkeypatch, override
     assert np.array_equal(sol[:, -1], oracle)
 
 
+def test_solve_on_the_builds_point_count_moved_falls_back(desk_basis, tmp_path,
+                                                         monkeypatch):
+    # a spacing of 0.0249999 gives the desk build's 5145 grid points, each
+    # moved by up to 4e-6: the stored values are not for these points
+    cfg_text = "grid_spacing = 0.0249999\n"
+    cfg = parse_config(cfg_text)
+    geometry = disk_candidates(cfg.domain_count, cfg.boundary_count)
+    points = evaluation_grid(geometry, cfg.grid_spacing).points
+    _, table = read_table_csv(os.path.join(desk_basis["out"], "powergrid.csv"))
+    assert points.shape == table[:, :2].shape == (5145, 2)
+    assert np.abs(points - table[:, :2]).max() == pytest.approx(4e-6, rel=1e-6)
+    calls = _count_radial_calls(monkeypatch)
+    out = str(tmp_path / "s")
+    assert main(["solve", "--config", write_cfg(tmp_path, cfg_text), "--basis",
+                 desk_basis["out"], "--out", out]) == 0
+    blocks = len(greedypde.solver.grid_blocks(len(points)))
+    assert len(calls) == blocks * _radial_calls_per_block(desk_basis["out"])
+    _, sol = read_table_csv(os.path.join(out, "solution.csv"))
+    assert np.array_equal(sol[:, :2], points)
+
+
 def _drop_last_line(text):
     return "".join(text.splitlines(True)[:-1])
 
@@ -1039,6 +1117,35 @@ def test_small_edit_of_c_beside_stored_values_exits_2_naming_it(desk_basis,
     assert _run_on_basis(desk_basis, "solve", basis, basis + "-solved") == 2
     assert "cmatrix.csv" in capsys.readouterr().err
     assert not os.path.exists(basis + "-solved")
+
+
+def _scale_last_diagonal(factor):
+    """cmatrix.csv with its last diagonal entry times factor."""
+    def corrupt(text):
+        lines = text.splitlines(True)
+        row = lines[-1].rstrip("\n").split(",")
+        row[-1] = repr(float(row[-1]) * factor)
+        lines[-1] = ",".join(row) + "\n"
+        return "".join(lines)
+    return corrupt
+
+
+@pytest.mark.parametrize("factor, code", [(1.0, 0), (1.0 + 1e-5, 3)],
+                         ids=["unedited", "last-diagonal-times-1+1e-5"])
+def test_power_check_tolerance_without_stored_values(built, tmp_path_factory, capsys,
+                                                     factor, code):
+    # without stored values the power check alone guards C: the last
+    # diagonal entry of the 40-pick basis scaled by 1 + 1e-5 leaves the
+    # unclamped power at about -8e-9 K(0), which exits 3, while the
+    # unedited basis, above -1e-14 K(0), passes
+    basis = _corrupted_basis(built, tmp_path_factory, "cmatrix.csv",
+                             _scale_last_diagonal(factor))
+    os.remove(os.path.join(basis, "gridbasis.npy"))
+    capsys.readouterr()
+    assert _run_on_basis(built, "solve", basis, basis + "-solved") == code
+    if code == 3:
+        p2 = float(re.search(r"is (\S+) K\(0\)", capsys.readouterr().err).group(1))
+        assert -1e-7 < p2 < -1e-9, p2
 
 
 _SEPARATORS = ", ="

@@ -17,7 +17,7 @@ from greedypde.engine import (
     select_extended,
     select_standard,
 )
-from greedypde.errors import Converged, InvalidSelectionError
+from greedypde.errors import Converged, InvalidSelectionError, NumericalError
 from greedypde.functionals import (
     FunctionalSet,
     GaussianBump,
@@ -32,7 +32,7 @@ from greedypde.functionals import (
     riesz_value,
     write_functionals,
 )
-from greedypde.geometry import disk_candidates, evaluation_grid
+from greedypde.geometry import disk_candidates, evaluation_grid, fill_distance
 from greedypde.kernels import KernelSpec, kernel_value, radial_kernel
 from greedypde.parallel import resolve_workers
 from greedypde.solver import (
@@ -124,6 +124,36 @@ def test_select_extended_branches():
     assert select_extended(state, False) == select_standard(state)
 
 
+def test_extended_run_breaks_the_first_tie_toward_the_boundary():
+    # before the first pick the delta power is K(0) at every point of Y and
+    # at every boundary delta, so it peaks on the boundary too: the first
+    # pick is the strongest boundary delta, where the standard rule would
+    # take domain functional 0, whose norm ties at m = 4 and scale 1
+    geometry = disk_candidates(300, 30)
+    fset = disk_functional_set(geometry)
+    state, trace = run(fset, SPEC, mode="extended", n_max=1,
+                       eval_grid=evaluation_grid(geometry, 0.1))
+    fresh = init(fset, SPEC)
+    assert select_standard(fresh) not in fset.boundary_indices
+    assert state.selected == [select_extended(fresh, True)] and trace.kind == ["B"]
+
+
+def test_select_extended_honours_stop_tol_on_the_boundary():
+    # boundary deltas at 1e-3 of their norm: the boundary branch takes one
+    # without a tolerance, and with stop_tol = 1e-2 leaves the pick to the
+    # standard rule, which converges once the domain is spent too
+    fset = toy_disk(50, 10)
+    state = init(fset, SPEC)
+    boundary = fset.boundary_indices
+    state.residual_power[boundary] *= 1e-3
+    assert select_extended(state, True) in boundary
+    chosen = select_extended(state, True, stop_tol=1e-2)
+    assert chosen not in boundary and chosen == select_standard(state, 1e-2)
+    state.residual_power *= 1e-3
+    with pytest.raises(Converged):
+        select_extended(state, True, stop_tol=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # extend
 
@@ -141,6 +171,28 @@ def test_extend_rejects_exhausted_functional():
     extend(state, pick)
     with pytest.raises(InvalidSelectionError):
         extend(state, pick)
+
+
+def test_extend_refuses_a_column_that_is_no_gram_column(monkeypatch):
+    # ten times the cross column leaves the chosen functional a residual
+    # power of -99 P^2: a broken Gram, which extend reports instead of
+    # clamping the power at zero
+    import greedypde.engine as engine
+
+    real = engine.dual_inner_column
+    monkeypatch.setattr(engine, "dual_inner_column",
+                        lambda *args, **kwargs: 10.0 * real(*args, **kwargs))
+    state = init(toy_three(), SPEC)
+    with pytest.raises(NumericalError, match="negative"):
+        extend(state, select_standard(state))
+
+
+def test_a_finished_run_takes_no_further_steps(small_run):
+    # its state holds no Newton columns to project a new column onto
+    state = small_run["state"]
+    with pytest.raises(ValueError, match="no Newton columns"):
+        extend(state, select_standard(state))
+    assert state.n == 60
 
 
 def test_extend_makes_one_projection_per_step():
@@ -268,6 +320,17 @@ def newton_factor(state) -> np.ndarray:
     return np.tril(state.newton_columns[:, state.selected].T)
 
 
+def replayed(state):
+    """The run's picks taken again through init/extend: a state whose Newton
+    columns, which the run frees after its last step, are the run's bit for
+    bit, as its C is."""
+    again = init(state.fset, state.spec)
+    for i in state.selected:
+        extend(again, i)
+    assert again.c_matrix().tobytes() == state.c_matrix().tobytes()
+    return again
+
+
 def assert_hager_on_inverse(cond, C, L):
     """cond is ||C||_1 times Hager's loop probed with L, bit for bit; it is
     within roundoff of the loop that solves with C, and never above the
@@ -287,7 +350,7 @@ def test_cond_c_column_equals_condition_estimate_of_each_block(m, mode):
     grid = evaluation_grid(geometry, 0.1)
     state, trace = run(fset, KernelSpec(m=m, d=2), mode=mode, n_max=30,
                        eval_grid=grid)
-    C, L = state.c_matrix(), newton_factor(state)
+    C, L = state.c_matrix(), newton_factor(replayed(state))
     assert len(trace.cond_c) == state.n == 30
     for k, cond in enumerate(trace.cond_c, start=1):
         assert_hager_on_inverse(cond, C[:k, :k], L[:k, :k])
@@ -333,12 +396,15 @@ def test_run_rejects_bad_arguments():
 
 
 def test_zero_step_run_leaves_an_extendable_state():
-    # a run sized for n_max = 0 rows still grows when extended afterwards
+    # a run sized for n_max = 0 rows, or one that converges before its first
+    # step (its freed Newton columns held no row), still grows when
+    # extended afterwards
     fset = toy_three()
-    state, trace = run(fset, SPEC, n_max=0)
-    assert len(trace.steps) == 0
-    extend(state, select_standard(state))
-    assert state.n == 1
+    for n_max, stop_tol in ((0, 1e-12), (3, 1.0)):
+        state, trace = run(fset, SPEC, n_max=n_max, stop_tol=stop_tol)
+        assert len(trace.steps) == 0
+        extend(state, select_standard(state))
+        assert state.n == 1
 
 
 def test_run_stops_early_on_large_tolerance():
@@ -448,6 +514,15 @@ def test_fill_distance_columns(small_run):
             assert trace.kind[i] == "B"
         assert trace.h_boundary[i] <= trace.h_boundary[i - 1] + 1e-15
         assert trace.h_domain[i] <= trace.h_domain[i - 1] + 1e-15
+    # and each step's values are the fill distances of each kind's picks so
+    # far over that kind's candidates (the diameter before its first pick)
+    fset, state = small_run["fset"], small_run["state"]
+    own = (fset.domain_mask, ~fset.domain_mask)
+    for k in range(1, len(trace.steps) + 1):
+        picks = np.array(state.selected[:k])
+        for h, mask in zip((trace.h_domain, trace.h_boundary), own):
+            oracle = fill_distance(fset.points[picks[mask[picks]]], fset.points[mask])
+            assert h[k - 1] == pytest.approx(oracle, rel=1e-12), k
 
 
 def test_storage_counter_linear_in_steps():
@@ -491,6 +566,16 @@ def test_restore_state_round_trip(small_run, tmp_path):
     points = small_run["grid"].points
     assert (evaluate_basis(stub, points).values.tobytes()
             == evaluate_basis(state, points).values.tobytes())
+
+
+def test_restore_state_keeps_only_the_lower_triangle():
+    # the CLI refuses a C with an upper triangle, but a library caller may
+    # pass a full matrix: the state drops what lies above the diagonal
+    rng = np.random.default_rng(5)
+    full = rng.standard_normal((3, 3)) + 3.0 * np.eye(3)
+    state = restore_state(toy_three(), full, SPEC)
+    assert np.array_equal(state.c_matrix(), np.tril(full))
+    assert state.cond_c() == condition_estimate(np.tril(full))
 
 
 def test_c_matrix_is_a_read_only_view_with_the_copys_bits(small_run):
@@ -538,6 +623,33 @@ def test_run_holds_only_the_contract_arrays():
     # radius table and the per-step trace values
     slack = 8 * 8 * (lam + p) + 2**19
     assert peak <= contract + slack, (peak, contract)
+
+
+def test_grid_pass_adds_nothing_to_the_runs_peak():
+    # run frees the Newton columns and L after its last step, so its grid
+    # pass holds its block beside C alone.  The 4597-point grid's last block
+    # is 1013 points wide, and the n_max x |Lambda| columns are twice the
+    # block: the run peaks at its last step with or without a grid, where a
+    # pass beside the columns would add the block
+    geometry = disk_candidates(2000, 120)
+    fset = disk_functional_set(geometry)
+    grid = evaluation_grid(geometry, 0.0265)
+    n_max = 100
+    widest = max(j.stop - j.start for j in grid_blocks(len(grid)))
+    block_bytes = 8 * n_max * widest
+    assert widest > 1.9 * BLOCK and len(fset) > 2 * widest
+    run(fset, SPEC, n_max=5, eval_grid=grid)  # load what the first run loads lazily
+    peaks = {}
+    for points in (None, grid):
+        tracemalloc.start()
+        try:
+            state, _ = run(fset, SPEC, n_max=n_max, eval_grid=points)
+            _, peaks[points is not None] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.n == n_max and state.newton_columns.shape == (0, len(fset))
+    assert peaks[True] - peaks[False] < block_bytes / 2, (
+        (peaks[True] - peaks[False]) / block_bytes)
 
 
 def test_run_copies_no_coefficient_matrix_per_step(monkeypatch):

@@ -1,5 +1,7 @@
+import importlib.util
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -36,3 +38,24 @@ def test_readme_library_example_runs():
     u_approx, grid = scope["u_approx"], scope["grid"]
     assert u_approx.shape == (len(grid.points),)
     assert np.isfinite(u_approx).all()
+
+
+def test_mutant_catalogue_edits_the_tree(tmp_path):
+    # scripts/mutants.py finds each mutant's text exactly once in its file,
+    # so the catalogue edits what it says it edits
+    spec = importlib.util.spec_from_file_location(
+        "mutants", os.path.join(ROOT, "scripts", "mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    sys.modules["mutants"] = mutants
+    try:
+        spec.loader.exec_module(mutants)
+    finally:
+        del sys.modules["mutants"]
+    assert len(mutants.CATALOGUE) == len({m.name for m in mutants.CATALOGUE}) == 19
+    for m in mutants.CATALOGUE:
+        target = tmp_path / m.name / m.path
+        target.parent.mkdir(parents=True)
+        shutil.copy(os.path.join(ROOT, m.path), target)
+        before = target.read_text()
+        mutants.apply(m, str(tmp_path / m.name))
+        assert target.read_text() == before.replace(m.old, m.new) != before, m.name

@@ -113,6 +113,15 @@ def test_data_to_newton_single_step(small_run):
     assert mu[0] == pytest.approx(3.2 / np.sqrt(dual_inner(f, f, spec)), rel=1e-13)
 
 
+def test_data_to_newton_needs_one_value_per_functional(small_run):
+    # a column vector would pass through the product as an N x 1 result
+    state = small_run["state"]
+    data = np.ones(state.n)
+    for bad in (data[:-1], data[:, None]):
+        with pytest.raises(ValueError, match="expected data of length"):
+            data_to_newton(state, bad)
+
+
 def test_newton_round_trip(small_run):
     state = small_run["state"]
     rng = np.random.default_rng(11)
