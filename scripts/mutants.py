@@ -96,6 +96,11 @@ CATALOGUE = [
     Mutant("newton-columns-kept-through-grid-pass", _src("engine.py"),
            "    state._columns = np.zeros((0, len(fset)))\n"
            "    state._l, state._l_rows = np.zeros((0, 0)), 0\n", ""),
+    Mutant("grid-blocks-drop-tail", _src("engine.py"),
+           "for a in range(0, max(n_points, 1), BLOCK)]",
+           "for a in range(0, max(n_points - BLOCK + 1, 1), BLOCK)]"),
+    Mutant("known-rows-ignored", _src("engine.py"),
+           "lo, hi = np.searchsorted(cols, (j.start, j.stop))", "lo = hi = 0"),
 ]
 
 

@@ -101,17 +101,24 @@ def _read_artifact(reader, path: str, *args):
 
 
 def _write_artifact(writer, path: str, *args) -> None:
-    """writer(path, *args), with an OSError (a full disk, a file size limit,
-    a denied write) reported as a ConfigError that names the file."""
-    with _naming(path, malformed=()):
-        writer(path, *args)
+    """writer(tmp, *args) for a temporary file tmp beside path, which then
+    replaces path, so a failed write leaves no partial file and a file that
+    was at path as it was.  An OSError (a full disk, a file size limit, a
+    denied write) is reported as a ConfigError that names path."""
+    tmp = f"{path}.partial-{os.getpid()}"
+    try:
+        writer(tmp, *args)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    finally:  # a failed write's tmp; os.replace leaves none
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _write_text(path: str, text: str) -> None:
-    """The text as the file at path, with errors reported as _write_artifact
-    does."""
-    with _naming(path, malformed=()), open(path, "w") as fh:
-        fh.write(text)
+    """The text as the file at path, written as _write_artifact writes."""
+    _write_artifact(lambda tmp: pathlib.Path(tmp).write_text(text), path)
 
 
 def _read_c_matrix(path: str) -> np.ndarray:

@@ -38,20 +38,21 @@ P^2(delta_x) over the interior evaluation points Y peaks on the boundary.
 So a step reads no grid value in standard mode, and in extended mode the
 run keeps the representer rows at Y only (N x |Y|) and deflates the delta
 power there by each basis row in the step that adds it.  Everything else
-an evaluation grid gives comes from one pass after the last step, block by
-block over the grid (representer_blocks): the pass turns a block's raw rows
-into its basis values in place (basis_values_in_place: row k becomes
-C[k, :k+1] @ raw[:k+1, J], bottom-up, one row GEMV at a time) and then
-deflates the block's delta power by those rows in the order the run added
-them, which is the same O(N^2 P) work a per-step deflation does; in
-extended mode it copies the rows at Y instead of evaluating them again.  The
+an evaluation grid gives comes from one pass after the last step over the
+grid's blocks, whose basis values come from basis_value_blocks (the
+solver's too): it evaluates a block's representer rows, copying the rows at
+Y in extended mode, and turns them into basis values in place (row k
+becomes C[k, :k+1] @ raw[:k+1, J], bottom-up, one row GEMV at a time).  The
+pass deflates the block's delta power by those rows in the order the run
+added them, which is the same O(N^2 P) work a per-step deflation does.  The
 largest power over the grid after each row is the trace's rho column, and
 the final powers are its grid_power.  Each block of basis values goes to
 the caller's sink once used (the CLI writes gridbasis.npy from it), so a
-run holds one N x |J| block, never an N x P array.  The pass holds it beside
-C, the O(|Lambda| + P) powers and, in extended mode, the rows at Y, but not
-beside the Newton columns, so a run whose n_max x |Lambda| columns outweigh
-one block (as at every benchmark scale) peaks at its last selection step.
+run holds one N x BLOCK block, never an N x P array.  The pass holds it
+beside C, the O(|Lambda| + P) powers and, in extended mode, the rows at Y,
+but not beside the Newton columns, so a run whose n_max x |Lambda| columns
+outweigh one block (as at every benchmark scale) peaks at its last
+selection step.
 """
 
 from __future__ import annotations
@@ -85,15 +86,14 @@ _NEGATIVE_FLOOR = 1e-6
 # sized for a run; they double when full.
 _INITIAL_CAPACITY = 16
 
-# A grid is taken in blocks that start at multiples of BLOCK, the remainder
-# folded into the last block (BLOCK to 2 BLOCK - 1 points wide).  The
-# build's grid pass and a solve that recomputes the basis values take the
-# same blocks, so their row GEMVs (basis_values_in_place) see the same
-# operands and give the same bits; one N x |J| block is the largest grid
-# array either holds.
+# A grid is taken in blocks of BLOCK points, only the last one shorter.  The
+# build's grid pass, a solve and evaluate_basis all take them from
+# basis_value_blocks, so each forms a basis value with the same row GEMV
+# (basis_values_in_place) and gets the same bits; one N x BLOCK block is the
+# largest grid array any of them holds.
 BLOCK = 512
 
-# Selected functionals of one kind per radial call in representer_blocks:
+# Selected functionals of one kind per radial call in basis_value_blocks:
 # one call per functional pays the per-call overhead once per row, while
 # more than 4 per call make the call's temporaries outgrow a solve's block
 # budget.
@@ -332,24 +332,23 @@ class RunTrace:
 
 
 def grid_blocks(n_points: int) -> list[slice]:
-    """The column blocks of a grid of n_points, in order."""
-    starts = [k * BLOCK for k in range(max(n_points // BLOCK, 1))]
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_points])]
+    """The column blocks of a grid of n_points, in order: BLOCK points each,
+    the last one shorter (no points make one empty block)."""
+    return [slice(a, min(a + BLOCK, n_points))
+            for a in range(0, max(n_points, 1), BLOCK)]
 
 
-def representer_blocks(state: GreedyState, points,
+def basis_value_blocks(state: GreedyState, points,
                        known=None) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (J, raw[:, J]) for each block J of the points (grid_blocks): the
-    representer rows of the selected functionals on points[J], equal to
-    riesz_value(f, points[J]) bit for bit.  The build's grid pass and a solve
-    that has no stored basis values overwrite them with the basis values
-    C @ raw[:, J] (basis_values_in_place).  The rows of each kind are evaluated
-    _GROUP functionals at a time, one representer_rows call per group and
-    block.  known, when given, is (cols, rows): the rows already evaluated at
-    points[cols] (cols increasing, rows N x |cols|), which are copied, not
-    evaluated again.  Every block is a view of one buffer: the caller may use
-    it, as scratch too, until it asks for the next block, which overwrites
-    it."""
+    """Yield (J, values[:, J]) for each block J of grid_blocks: the basis
+    values (C @ raw)[:, J] on points[J], which basis_values_in_place forms
+    from the representer rows raw (equal to riesz_value(f, points[J]) bit
+    for bit).  The rows of each kind are evaluated _GROUP functionals at a
+    time, one representer_rows call per group and block.  known, when given,
+    is (cols, rows): the rows already evaluated at points[cols] (cols
+    increasing, rows N x |cols|), which are copied, not evaluated again.
+    Every block is a view of one buffer: the caller may use it, as scratch
+    too, until it asks for the next block, which overwrites it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     blocks = grid_blocks(len(pts))
     cols, known_rows = (np.zeros(0, dtype=int), None) if known is None else known
@@ -360,7 +359,7 @@ def representer_blocks(state: GreedyState, points,
         rows = np.flatnonzero(state.fset.domain_mask[sel] == operator_delta)
         groups += [(operator_delta, rows[i : i + _GROUP])
                    for i in range(0, rows.size, _GROUP)]
-    flat = np.empty(state.n * max(j.stop - j.start for j in blocks))
+    flat = np.empty(state.n * min(len(pts), BLOCK))
     for j in blocks:
         width = j.stop - j.start
         raw = flat[: state.n * width].reshape(state.n, width)
@@ -376,7 +375,7 @@ def representer_blocks(state: GreedyState, points,
             for operator_delta, rows in groups:
                 raw[rows[:, None], rest] = representer_rows(
                     centers[rows], operator_delta, pts[j][rest], state.spec)
-        yield j, raw
+        yield j, basis_values_in_place(state._c, raw)
 
 
 def basis_values_in_place(c: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -405,19 +404,17 @@ def _grid_pass(state: GreedyState, points: np.ndarray,
                sink: Callable[[slice, np.ndarray], None] | None, known=None,
                ) -> tuple[np.ndarray, np.ndarray]:
     """(rho, grid_power) of the state's basis on the points, one block of
-    representer_blocks at a time.  A block's raw rows become its basis
-    values in place (basis_values_in_place), and its delta powers start at
-    K(0) and are deflated by each basis row in the order the run added
-    them; rho[k] is the square root of the
-    largest power over the grid after row k, and grid_power holds the powers
-    after the last row.  sink, when given, gets each (J, values[:, J]) once
-    its rows are used; known is passed to representer_blocks."""
+    basis_value_blocks at a time.  A block's delta powers start at K(0) and
+    are deflated by each basis row in the order the run added them; rho[k]
+    is the square root of the largest power over the grid after row k, and
+    grid_power holds the powers after the last row.  sink, when given, gets
+    each (J, values[:, J]) once its rows are used; known is passed to
+    basis_value_blocks."""
     n = state.n
     power = np.full(len(points), radial_kernel(state.spec, 0.0))
     peak = np.zeros(n)
     block_peak = np.empty(n)
-    for j, values in representer_blocks(state, points, known):
-        basis_values_in_place(state._c, values)
+    for j, values in basis_value_blocks(state, points, known):
         block_power = power[j]
         square = np.empty(len(block_power))
         for k in range(n):
@@ -444,7 +441,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     `grid_row_sink`, given a grid, is called as grid_row_sink(J, values) for
     each block J of the pass, in order, with values the N x |J| basis values
     v_{mu_k}(x) = (C @ raw)[k, x] on the block's points (a buffer that the
-    next block overwrites, as in representer_blocks).  They do not depend on
+    next block overwrites, as in basis_value_blocks).  They do not depend on
     the problem, so a solve on the same grid can read them instead of
     evaluating the representers again.  The returned state holds no Newton
     columns and no L: run frees them after the last step.

@@ -15,15 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# BLOCK, grid_blocks and basis_values_in_place are re-exported: a solve
-# walks the grid in the blocks that the build's grid pass used, and forms
-# basis values with the pass's row GEMVs
+# BLOCK, grid_blocks, basis_values_in_place and basis_value_blocks are
+# re-exported: a solve walks the grid in the blocks of the build's grid
+# pass, with the pass's basis-value generator
 from .engine import (
     BLOCK,
     GreedyState,
+    basis_value_blocks,
     basis_values_in_place,
     grid_blocks,
-    representer_blocks,
 )
 from .errors import NumericalError
 from .functionals import FunctionalSet, gram, riesz_value
@@ -46,17 +46,6 @@ class ProjectionSolution:
     newton_coefficients: np.ndarray
 
 
-def basis_value_blocks(state: GreedyState, points):
-    """Yield (J, values[:, J]) for each block J of grid_blocks: the blocks of
-    representer_blocks(state, points) turned into basis values in place by
-    basis_values_in_place, each a buffer that the next block overwrites.  On
-    a build's grid they equal, bit for bit, the basis values the build
-    stored (gridbasis.npy)."""
-    c = state.c_matrix()
-    for j, raw in representer_blocks(state, points):
-        yield j, basis_values_in_place(c, raw)
-
-
 def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:
     """All basis functions on the points as one N x P array, assembled from
     basis_value_blocks."""
@@ -68,12 +57,17 @@ def evaluate_basis(state: GreedyState, points) -> BasisEvaluation:
 
 
 def unclamped_power(spec: KernelSpec, values: np.ndarray) -> np.ndarray:
-    """K(x,x) - sum_k v_{mu_k}(x)^2 per column of basis values, with the sum
-    of squares taken by einsum, which needs no array of the values' shape.
-    It is P^2(delta_x) and never below roundoff for an orthonormal basis, so
-    a clearly negative value shows values that are not those of one."""
-    kxx = radial_kernel(spec, 0.0)
-    return kxx - np.einsum("ij,ij->j", values, values)
+    """K(x,x) - sum_k v_{mu_k}(x)^2 per column of basis values, the squares
+    added row after row: no array of the values' shape, and the same bits
+    for a column at any block width (einsum sums one column in another
+    order).  It is P^2(delta_x) and never below roundoff for an orthonormal
+    basis, so a clearly negative value shows values that are not those of
+    one."""
+    total = np.zeros(values.shape[1])
+    square = np.empty(values.shape[1])
+    for row in values:
+        total += np.square(row, out=square)
+    return radial_kernel(spec, 0.0) - total
 
 
 def power_on_deltas(state: GreedyState, basis_eval: BasisEvaluation) -> np.ndarray:

@@ -1,6 +1,8 @@
 import contextlib
 import errno
+import importlib.util
 import io
+import json
 import math
 import os
 import re
@@ -291,25 +293,50 @@ raise SystemExit(main(sys.argv[2:]))
 """
 
 
+def _run_size_limited(limit, args):
+    """Stderr of the CLI with args, run in a child whose files may not grow
+    past limit bytes, once checked to be an exit 2 that gives the system's
+    text for a file too large and no traceback."""
+    resource = pytest.importorskip("resource")
+    if not (hasattr(resource, "RLIMIT_FSIZE") and hasattr(signal, "SIGXFSZ")):
+        pytest.skip("no file size limit on this platform")
+    src = os.path.dirname(os.path.dirname(greedypde.cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", _SIZE_LIMITED_CHILD, str(limit), *args],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120)
+    assert child.returncode == 2, child.stderr
+    assert os.strerror(errno.EFBIG) in child.stderr
+    assert "Traceback" not in child.stderr
+    return child.stderr
+
+
 @pytest.mark.parametrize("command, limit, name", [
     ("build", 2**16, "gridbasis.npy"), ("solve", 2**14, "solution.csv")])
 def test_write_past_a_file_size_limit_exits_2_naming_the_file(built, tmp_path, command,
                                                               limit, name):
-    resource = pytest.importorskip("resource")
-    if not (hasattr(resource, "RLIMIT_FSIZE") and hasattr(signal, "SIGXFSZ")):
-        pytest.skip("no file size limit on this platform")
     args = ["build"] if command == "build" else ["solve", "--basis", built["out"]]
     out = tmp_path / "out"
-    src = os.path.dirname(os.path.dirname(greedypde.cli.__file__))
-    child = subprocess.run(
-        [sys.executable, "-c", _SIZE_LIMITED_CHILD, str(limit), *args,
-         "--config", built["cfg"], "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True, text=True, timeout=120)
-    assert child.returncode == 2, child.stderr
-    assert name in child.stderr and os.strerror(errno.EFBIG) in child.stderr
-    assert "Traceback" not in child.stderr
+    err = _run_size_limited(limit, [*args, "--config", built["cfg"], "--out", str(out)])
+    assert name in err
     assert not out.exists() and not list(tmp_path.glob("out.partial-*"))
+
+
+def test_report_past_a_file_size_limit_leaves_its_files_whole(built, tmp_path):
+    # report rewrites files of an existing directory: each goes to a
+    # temporary file that replaces it once written, so a failed write keeps
+    # the old file whole and leaves no temporary one
+    out = tmp_path / "out"
+    shutil.copytree(built["out"], out)
+    names = ("report.txt", "rates.csv", "make_plots.py")
+    before = {name: (out / name).read_bytes() for name in names}
+    listing = sorted(os.listdir(out))
+    limit = 200
+    assert len(before["report.txt"]) > limit
+    err = _run_size_limited(limit, ["report", "--config", built["cfg"], "--out", str(out)])
+    assert "report.txt" in err
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(os.listdir(out)) == listing
 
 
 @pytest.mark.parametrize("key, value", [("workers", "-3"), ("stop_tol", "1")],
@@ -503,8 +530,9 @@ def test_solve_without_checksum_falls_back(built, tmp_path, monkeypatch):
     calls = _count_radial_calls(monkeypatch)
     assert main(["solve", "--config", built["cfg"], "--basis", basis,
                  "--out", recomputed]) == 0
-    # one block of grid points (fewer than 2 BLOCK), 40 picks in groups of 4
-    assert len(calls) == _radial_calls_per_block(basis) < 40
+    # two blocks of grid points (519 = BLOCK + 7), 40 picks in groups of 4
+    per_block = _radial_calls_per_block(basis)
+    assert len(calls) == 2 * per_block and per_block < 40
     _assert_same_solve_outputs(stored, recomputed)
 
 
@@ -530,7 +558,8 @@ def test_solve_of_an_older_build_reads_no_raw_rows_as_values(built, tmp_path, mo
                  "--out", stored]) == 0
     calls = _count_radial_calls(monkeypatch)
     assert main(["solve", "--config", built["cfg"], "--basis", basis, "--out", old]) == 0
-    assert len(calls) == _radial_calls_per_block(basis)
+    # two blocks of grid points (519 = BLOCK + 7)
+    assert len(calls) == 2 * _radial_calls_per_block(basis)
     _assert_same_solve_outputs(stored, old)
 
 
@@ -604,6 +633,46 @@ def test_build_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+# The CRC-32 of the basis values, block after block, of 500 functionals (a
+# restored state with an arbitrary lower-triangular C) on 1013 points.  At
+# this N, OpenBLAS splits a row GEMV of more than about 920 columns between
+# threads, and a block of all 1013 points gave other bits at 1 and 2
+# threads; blocks of BLOCK points stay below the split.
+_WIDE_BLOCK_CHILD = """\
+import zlib
+import numpy as np
+from greedypde.engine import restore_state
+from greedypde.functionals import FunctionalSet, disk_functional_set
+from greedypde.geometry import disk_candidates
+from greedypde.kernels import KernelSpec
+from greedypde.solver import basis_value_blocks
+n = 500
+fset = disk_functional_set(disk_candidates(480, 40))
+rng = np.random.default_rng(0)
+state = restore_state(FunctionalSet.from_arrays(fset.points[:n], fset.domain_mask[:n]),
+                      np.tril(rng.uniform(-1.0, 1.0, (n, n))), KernelSpec(m=4, d=2))
+crc = 0
+for _, values in basis_value_blocks(state, rng.uniform(-0.7, 0.7, (1013, 2))):
+    crc = zlib.crc32(values, crc)
+print(crc)
+"""
+
+
+def test_basis_values_of_500_functionals_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
+    crcs = []
+    for threads in (None, "1"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        child = subprocess.run([sys.executable, "-c", _WIDE_BLOCK_CHILD],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        crcs.append(child.stdout)
+    assert crcs[0] == crcs[1]
+
+
 def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
     # a fine grid makes two N x P arrays far larger than the block budget
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("grid_spacing = 0.08", "grid_spacing = 0.02"))
@@ -615,7 +684,7 @@ def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
     rows = np.load(os.path.join(stored, "gridbasis.npy"))
     basis_bytes = rows.nbytes
     assert rows.shape[0] == 40 and basis_bytes > 2_000_000
-    block_bytes = 8 * rows.shape[0] * (2 * BLOCK - 1)  # the widest block
+    block_bytes = 8 * rows.shape[0] * BLOCK  # the widest block
     del rows
     for k, basis in enumerate((stored, recomputed)):
         # the first solve loads whatever the traced one would load lazily
@@ -838,7 +907,10 @@ def test_solve_on_another_grid_falls_back(built, tmp_path, monkeypatch, override
     calls = _count_radial_calls(monkeypatch)
     assert main(["solve", "--config", write_cfg(tmp_path, cfg_text), "--basis",
                  built["out"], "--out", out]) == 0
-    assert len(calls) == _radial_calls_per_block(built["out"]) < 40
+    # 347 grid points make one block, 513 (BLOCK + 1) make two
+    blocks = {"grid_spacing = 0.1": 1, "boundary_count = 24": 2}[override]
+    per_block = _radial_calls_per_block(built["out"])
+    assert len(calls) == blocks * per_block and per_block < 40
 
     cfg = parse_config(cfg_text)
     grid = evaluation_grid(disk_candidates(cfg.domain_count, cfg.boundary_count),
@@ -1069,6 +1141,33 @@ def desk_basis(tmp_path_factory):
     out = str(tmp / "basis")
     assert main(["build", "--config", cfg, "--out", out]) == 0
     return dict(cfg=cfg, out=out)
+
+
+def test_desk_build_and_solves_pass_the_benchmarks_strict_checks(desk_basis, tmp_path):
+    # the default config is perfbench's desk-m4 workload, whose checks hold
+    # a build to its recorded selections and trace (cond_C to 1e-6) and a
+    # solve to its recorded errors; perfbench/checks.py needs only the
+    # standard library
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                  os.path.join(bench, "checks.py"))
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    with open(os.path.join(bench, "refs", "desk-m4.json")) as fh:
+        ref = json.load(fh)
+    # the workload sets no key but workers, which changes no output
+    assert [line.split("=")[0].strip() for line in ref["config"].splitlines()] == ["workers"]
+    assert checks.check_build(desk_basis["out"], ref, "strict") == []
+    for problem, key in (("gaussian", "problem_shape"), ("powercusp", "problem_exponent")):
+        instance = next(i for i in ref["instances"] if i["problem"] == problem)
+        cfg = write_cfg(tmp_path, f"problem = {problem}\n"
+                        "problem_center = {!r}, {!r}\n".format(*instance["problem_center"])
+                        + f"{key} = {instance[key]}\n", f"{problem}.cfg")
+        out = str(tmp_path / problem)
+        assert main(["solve", "--config", cfg, "--basis", desk_basis["out"], "--out", out]) == 0
+        problems, _ = checks.check_solve(out, instance["max_abs_error"], "strict")
+        assert problems == [], problem
 
 
 def _move_on_line_151(column, step):

@@ -452,7 +452,7 @@ def _row_gemv_values(c, raw):
 def test_grid_power_matches_basis_oracle_after_early_stop():
     geometry = disk_candidates(60, 10)
     fset = disk_functional_set(geometry)
-    grid = evaluation_grid(geometry, 0.04)  # three blocks
+    grid = evaluation_grid(geometry, 0.04)  # 1971 points: four blocks
     blocks = []
     state, trace = run(fset, SPEC, n_max=len(fset), stop_tol=1e-2,
                        eval_grid=grid,
@@ -467,7 +467,7 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
     # the pass hands over each block of the grid once, in order, holding
     # the basis values of the picks: bit for bit the row GEMVs of C and the
     # block's representer rows, which basis_values_in_place forms too
-    assert [j for j, _ in blocks] == grid_blocks(len(grid)) and len(blocks) == 3
+    assert [j for j, _ in blocks] == grid_blocks(len(grid)) and len(blocks) == 4
     raw = np.array([riesz_value(fset[i], grid.points, SPEC) for i in state.selected])
     expected = _row_gemv_values(state.c_matrix(), raw)
     values = np.hstack([block for _, block in blocks])
@@ -478,7 +478,7 @@ def test_grid_power_matches_basis_oracle_after_early_stop():
 
     _, no_grid = run(fset, SPEC, n_max=5, grid_row_sink=blocks.append)
     assert no_grid.grid_power is None
-    assert len(blocks) == 3
+    assert len(blocks) == 4
 
 
 def test_extended_grid_pass_copies_the_rows_at_y():
@@ -489,9 +489,9 @@ def test_extended_grid_pass_copies_the_rows_at_y():
     # selects and reports what its sorted, unique indices do
     geometry = disk_candidates(60, 10)
     fset = disk_functional_set(geometry)
-    grid = evaluation_grid(geometry, 0.04)  # three blocks, Y in each
+    grid = evaluation_grid(geometry, 0.04)  # four blocks, Y in each
     y = np.arange(0, grid.n_interior, 3)
-    assert y[-1] >= 2 * BLOCK
+    assert y[-1] >= 3 * BLOCK
     spec = KernelSpec(m=6, d=2)
     blocks = []
     state, trace = run(fset, spec, mode="extended", n_max=30, eval_grid=grid,
@@ -504,6 +504,44 @@ def test_extended_grid_pass_copies_the_rows_at_y():
     assert state.selected == sorted_state.selected
     assert trace.rho.tobytes() == sorted_trace.rho.tobytes()
     assert trace.grid_power.tobytes() == sorted_trace.grid_power.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_grid_pass_evaluates_each_representer_once(monkeypatch, mode):
+    # the grid pass evaluates N x P representer values, less the N x |Y|
+    # that the extended rule's loop already evaluated (through riesz_value,
+    # which this count leaves out) and the pass copies
+    import greedypde.engine as engine
+
+    work = []
+    real = engine.representer_rows
+
+    def counted(centers, operator_delta, points, spec):
+        work.append(len(centers) * len(points))
+        return real(centers, operator_delta, points, spec)
+
+    monkeypatch.setattr(engine, "representer_rows", counted)
+    geometry = disk_candidates(60, 10)
+    grid = evaluation_grid(geometry, 0.04)  # four blocks, Y in each
+    y = np.arange(0, grid.n_interior, 3)
+    state, _ = run(disk_functional_set(geometry), SPEC, mode=mode, n_max=30,
+                   eval_grid=grid, y_indices=y)
+    assert state.n == 30
+    evaluated = len(grid) - (len(y) if mode == "extended" else 0)
+    assert sum(work) == state.n * evaluated
+
+
+@given(st.integers(1, 20000))
+def test_grid_blocks_tile_the_grid_in_block_wide_blocks(n):
+    blocks = grid_blocks(n)
+    # in order, with no gap and no overlap
+    assert np.array_equal(np.concatenate([np.arange(n)[j] for j in blocks]), np.arange(n))
+    assert all(j.start % BLOCK == 0 and 0 < j.stop - j.start <= BLOCK for j in blocks)
+    assert all(j.stop - j.start == BLOCK for j in blocks[:-1])
+
+
+def test_grid_blocks_of_no_points_are_one_empty_block():
+    assert grid_blocks(0) == [slice(0, 0)]
 
 
 def test_fill_distance_columns(small_run):
@@ -618,7 +656,7 @@ def test_run_holds_only_the_contract_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    contract = 8 * ((n_max + 2) * lam + n_max * (2 * BLOCK - 1))
+    contract = 8 * ((n_max + 2) * lam + n_max * BLOCK)
     # a step's temporaries: a few vectors over the set and the grid, the
     # radius table and the per-step trace values
     slack = 8 * 8 * (lam + p) + 2**19
@@ -627,17 +665,18 @@ def test_run_holds_only_the_contract_arrays():
 
 def test_grid_pass_adds_nothing_to_the_runs_peak():
     # run frees the Newton columns and L after its last step, so its grid
-    # pass holds its block beside C alone.  The 4597-point grid's last block
-    # is 1013 points wide, and the n_max x |Lambda| columns are twice the
-    # block: the run peaks at its last step with or without a grid, where a
-    # pass beside the columns would add the block
+    # pass holds its block beside C alone.  The 4597-point grid's blocks
+    # are BLOCK points wide, all but its last, and the n_max x |Lambda|
+    # columns are more than twice a block: the run peaks at its last step
+    # with or without a grid, where a pass beside the columns would add the
+    # block
     geometry = disk_candidates(2000, 120)
     fset = disk_functional_set(geometry)
     grid = evaluation_grid(geometry, 0.0265)
     n_max = 100
     widest = max(j.stop - j.start for j in grid_blocks(len(grid)))
     block_bytes = 8 * n_max * widest
-    assert widest > 1.9 * BLOCK and len(fset) > 2 * widest
+    assert widest == BLOCK and len(fset) > 2 * widest
     run(fset, SPEC, n_max=5, eval_grid=grid)  # load what the first run loads lazily
     peaks = {}
     for points in (None, grid):
