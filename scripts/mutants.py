@@ -101,6 +101,55 @@ CATALOGUE = [
            "for a in range(0, max(n_points - BLOCK + 1, 1), BLOCK)]"),
     Mutant("known-rows-ignored", _src("engine.py"),
            "lo, hi = np.searchsorted(cols, (j.start, j.stop))", "lo = hi = 0"),
+    Mutant("stop-tol-one-accepted", _src("config.py"),
+           "if not 0 <= self.stop_tol < 1:", "if not 0 <= self.stop_tol <= 1:"),
+    Mutant("fit-rate-two-samples", _src("analysis.py"),
+           "if mask.sum() < 5:", "if mask.sum() < 2:"),
+    Mutant("limit-radius-1e-6", _src("kernels.py"),
+           "_LIMIT_RADIUS = 1e-8", "_LIMIT_RADIUS = 1e-6"),
+    Mutant("zero-first-error-accepted", _src("cli.py"),
+           "if not errors[0] > 0.0:", "if False:"),
+    Mutant("threshold-min-diag", _src("engine.py"),
+           "return stop_tol * float(state.diag.max())",
+           "return stop_tol * float(state.diag.min())"),
+    Mutant("real-keys-finite-unchecked", _src("config.py"),
+           "if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):",
+           "if False:"),
+    Mutant("diameter-first-chain-only", _src("geometry.py"),
+           "return np.array(half(pts) + half(pts[::-1]))", "return np.array(half(pts))"),
+    Mutant("h-boundary-from-domain", _src("engine.py"),
+           "h[is_boundary] = float(nearest[own].max())",
+           "h[is_boundary] = float(nearest.max())"),
+    Mutant("bmax-before-extend", _src("engine.py"),
+           'rows["bmax"].append(float(state.residual_power[bnd_idx].max())',
+           'rows["bmax"].append(float(state.diag[bnd_idx].max())'),
+    Mutant("negative-floor-1e-2", _src("engine.py"),
+           "_NEGATIVE_FLOOR = 1e-6", "_NEGATIVE_FLOOR = 1e-2"),
+    Mutant("checksum-names-unchecked", _src("runio.py"),
+           "if recorded is None or sorted(recorded) != sorted(names):",
+           "if recorded is None:"),
+    Mutant("npy-fortran-order-accepted", _src("runio.py"),
+           "if len(stored) != 2 or fortran_order or dtype != np.float64:",
+           "if len(stored) != 2 or dtype != np.float64:"),
+    Mutant("report-window-full-trace", _src("cli.py"),
+           "window = (trace.steps[-1] / 2.0, float(trace.steps[-1]))",
+           "window = (1.0, float(trace.steps[-1]))"),
+    Mutant("collocation-pivot-1e-3", _src("solver.py"),
+           "if pivots.min() <= 1e-7 * pivots.max():",
+           "if pivots.min() <= 1e-3 * pivots.max():"),
+    Mutant("y-size-unclamped", _src("cli.py"),
+           "y_size = min(cfg.y_size, grid.n_interior)", "y_size = cfg.y_size",
+           equivalent="np.linspace over more points than the interior, after "
+                      "np.unique, already gives every interior index"),
+    Mutant("table-quarter-full-to-half", _src("functionals.py"),
+           "if 4 * (self._size + len(keys)) > len(self._keys):",
+           "if 2 * (self._size + len(keys)) > len(self._keys):",
+           equivalent="the bilaplacian table's load factor changes only how "
+                      "far a lookup probes, never a value"),
+    Mutant("solves-ignore-trans", _src("analysis.py"),
+           "trans=trans, check_finite=False)", "trans=0, check_finite=False)"),
+    Mutant("known-columns-not-copied", _src("engine.py"),
+           "        raw[:, have] = known_rows[:, lo:hi]\n", ""),
 ]
 
 

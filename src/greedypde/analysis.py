@@ -3,8 +3,9 @@ and singular-value decay of basis-value matrices.
 
 The condition estimate probes C^{-1} with products when the caller holds
 it (a build passes the Newton system's L = C^{-1} at every step) and with
-triangular solves when it holds only C; scipy.linalg loads inside those
-solves and inside singular_values, which only
+scipy.linalg.solve_triangular when it holds only C (a restored basis, or
+the state a run returns, for which no command asks); scipy.linalg loads
+inside those solves and inside singular_values, which only
 scripts/run_desk_experiments.py calls.  So `build` and `report` run without
 scipy.linalg.
 """
@@ -66,24 +67,12 @@ def _hager_norm1(apply, n: int, max_iter: int = 5) -> float:
 
 
 def _inverse_by_solves(tri: np.ndarray):
-    """apply for _hager_norm1 with A = tri^{-1}: triangular solves.
-
-    tri is C-ordered and finite (condition_estimate checks).  The solves
-    call LAPACK trtrs the way scipy.linalg.solve_triangular does for such a
-    matrix, on tri.T (Fortran order) as an upper matrix with the transpose
-    flag flipped, so the results are its bits without its per-call
-    validation.
-    """
-    from scipy.linalg import get_lapack_funcs
-
-    (trtrs,) = get_lapack_funcs(("trtrs",), (tri,))
-    upper = tri.T
+    """apply for _hager_norm1 with A = tri^{-1}: triangular solves with tri,
+    which condition_estimate has checked to be finite."""
+    from scipy.linalg import solve_triangular
 
     def solve(b, trans):
-        x, info = trtrs(upper, b, lower=False, trans=1 - trans)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"trtrs failed with info = {info}")
-        return x
+        return solve_triangular(tri, b, lower=True, trans=trans, check_finite=False)
 
     return solve
 

@@ -5,8 +5,9 @@ coefficient matrix C expressing the orthonormal functionals in terms of the
 selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
-is (N+2)|Lambda| floats plus C, the N column sums of |C| and, once the
-condition estimate is asked for, L = C^{-1}; the candidate set itself is
+is (N+2)|Lambda| floats plus C, the N column sums of |C| (which extend
+keeps for the per-step condition estimate) and, once that estimate is
+asked for, L = C^{-1}; the candidate set itself is
 d + 1 floats and a flag per candidate (FunctionalSet's packed arrays), with
 no Python object per candidate.  The Newton columns at the selected indices
 form L, the Cholesky factor of the selected Gram matrix (Mueller & Schaback
@@ -158,19 +159,20 @@ class GreedyState:
     def cond_c(self) -> float:
         """analysis.condition_estimate of the coefficient matrix.
 
-        ||C||_1 comes from the running column sums of |C|, which equal
-        np.abs(C).sum(axis=0) bit for bit (numpy reduces axis 0 of a
-        C-ordered array by adding row after row).  Hager's probes multiply
-        by L = C^{-1}, whose row k is Newton columns 0..k at the k-th pick.
-        Each call copies in the rows of the steps since the last one (one
-        row per call in a run) and reads the leading block of L in place,
-        so a step allocates no N x N array, and a state that never asks
-        holds no L.  A restored state, or the state that run returns, has
-        no Newton columns, so its estimate solves with C instead."""
+        A restored state, or the state that run returns, has no Newton
+        columns, so its estimate is that of C alone: column sums of |C| and
+        triangular solves with C.  Otherwise ||C||_1 comes from the running
+        column sums of |C|, which equal np.abs(C).sum(axis=0) bit for bit
+        (numpy reduces axis 0 of a C-ordered array by adding row after
+        row), and Hager's probes multiply by L = C^{-1}, whose row k is
+        Newton columns 0..k at the k-th pick.  Each call copies in the rows
+        of the steps since the last one (one row per call in a run) and
+        reads the leading block of L in place, so a step allocates no N x N
+        array, and a state that never asks holds no L."""
         n = self.n
-        norm1 = float(self._c_abs_sums[:n].max()) if n else 0.0
         if len(self._columns) < n:
-            return analysis.condition_estimate(self._c[:n, :n], norm1)
+            return analysis.condition_estimate(self._c[:n, :n])
+        norm1 = float(self._c_abs_sums[:n].max()) if n else 0.0
         if len(self._l) < n:
             self._l = _with_capacity(self._l, len(self._c), self._l_rows, axes=2)
         for k in range(self._l_rows, n):
@@ -217,7 +219,6 @@ def restore_state(fset: FunctionalSet, c_matrix, spec: KernelSpec) -> GreedyStat
     transforms) and takes no further greedy steps.  The caller checks that C
     matches the set.
     """
-    n = len(fset)
     state = GreedyState(fset, spec, rows=0)
     c = np.atleast_2d(np.asarray(c_matrix, dtype=float))
     # a C that is already zero above the diagonal (as the CLI reads it, or a
@@ -225,10 +226,7 @@ def restore_state(fset: FunctionalSet, c_matrix, spec: KernelSpec) -> GreedyStat
     if any(row[k + 1:].any() for k, row in enumerate(c)):
         c = np.tril(c)
     state._c = c
-    state._c_abs_sums = np.zeros(n)
-    for row in state._c:  # as extend adds them, with no N x N temporary
-        state._c_abs_sums += np.abs(row)
-    state.selected = list(range(n))
+    state.selected = list(range(len(fset)))
     return state
 
 
@@ -343,15 +341,17 @@ def basis_value_blocks(state: GreedyState, points,
     """Yield (J, values[:, J]) for each block J of grid_blocks: the basis
     values (C @ raw)[:, J] on points[J], which basis_values_in_place forms
     from the representer rows raw (equal to riesz_value(f, points[J]) bit
-    for bit).  The rows of each kind are evaluated _GROUP functionals at a
-    time, one representer_rows call per group and block.  known, when given,
-    is (cols, rows): the rows already evaluated at points[cols] (cols
-    increasing, rows N x |cols|), which are copied, not evaluated again.
-    Every block is a view of one buffer: the caller may use it, as scratch
-    too, until it asks for the next block, which overwrites it."""
+    for bit).  known, when given, is (cols, rows): the rows already
+    evaluated at points[cols] (cols increasing, rows N x |cols|).  Each
+    block copies the known rows of its points and evaluates the rest, the
+    rows of each kind _GROUP functionals at a time, one representer_rows
+    call per group and block; without known it copies none.  Every block is
+    a view of one buffer: the caller may use it, as scratch too, until it
+    asks for the next block, which overwrites it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     blocks = grid_blocks(len(pts))
-    cols, known_rows = (np.zeros(0, dtype=int), None) if known is None else known
+    n = state.n
+    cols, known_rows = known or (np.zeros(0, dtype=int), np.zeros((n, 0)))
     sel = np.asarray(state.selected, dtype=int)
     centers = state.fset.points[sel]
     groups = []
@@ -359,22 +359,18 @@ def basis_value_blocks(state: GreedyState, points,
         rows = np.flatnonzero(state.fset.domain_mask[sel] == operator_delta)
         groups += [(operator_delta, rows[i : i + _GROUP])
                    for i in range(0, rows.size, _GROUP)]
-    flat = np.empty(state.n * min(len(pts), BLOCK))
+    flat = np.empty(n * min(len(pts), BLOCK))
     for j in blocks:
         width = j.stop - j.start
-        raw = flat[: state.n * width].reshape(state.n, width)
+        raw = flat[: n * width].reshape(n, width)
         lo, hi = np.searchsorted(cols, (j.start, j.stop))
-        if lo == hi:
-            for operator_delta, rows in groups:
-                raw[rows] = representer_rows(centers[rows], operator_delta, pts[j],
-                                             state.spec)
-        else:
-            have = cols[lo:hi] - j.start
-            raw[:, have] = known_rows[:, lo:hi]
-            rest = np.delete(np.arange(width), have)
-            for operator_delta, rows in groups:
-                raw[rows[:, None], rest] = representer_rows(
-                    centers[rows], operator_delta, pts[j][rest], state.spec)
+        have = cols[lo:hi] - j.start
+        raw[:, have] = known_rows[:, lo:hi]
+        rest = np.delete(np.arange(width), have)
+        rest_points = pts[j][rest]
+        for operator_delta, rows in groups:
+            raw[rows[:, None], rest] = representer_rows(
+                centers[rows], operator_delta, rest_points, state.spec)
         yield j, basis_values_in_place(state._c, raw)
 
 

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import greedypde.cli
 import greedypde.engine
 import greedypde.solver
+from greedypde.analysis import fit_rate
 from greedypde.cli import main
 from greedypde.config import RunConfig, load_config, parse_config
 from greedypde.engine import restore_state, run
@@ -1051,6 +1052,9 @@ def _flip_first_checksum(text):
     ("solve", "powergrid.csv", lambda t: t.splitlines(True)[0]),
     ("solve", "gridbasis.crc32", _flip_first_checksum),
     ("solve", "gridbasis.crc32", lambda t: "abc\n"),
+    ("solve", "gridbasis.crc32", lambda t: t.splitlines(True)[0]),
+    ("solve", "gridbasis.crc32", lambda t: t + "0 powergrid.csv\n"),
+    ("solve", "gridbasis.npy", _edit_npy(np.asfortranarray)),
     ("solve", "cmatrix.csv", _AS_DIRECTORY),
     ("solve", "selected.txt", _AS_DIRECTORY),
     ("solve", "gridbasis.npy", _AS_DIRECTORY),
@@ -1066,6 +1070,7 @@ def _flip_first_checksum(text):
         "selected-nan-coordinate", "gridrows-truncated", "gridrows-row-count",
         "gridrows-nan", "gridrows-pickled", "gridrows-header-length", "cmatrix-empty",
         "powergrid-no-rows", "gridrows-wrong-checksum", "gridrows-non-numeric-checksum",
+        "checksum-line-missing", "checksum-line-extra", "gridrows-fortran-order",
         "cmatrix-directory", "selected-directory", "gridrows-directory",
         "checksum-directory", "kernel-directory", "trace-directory"])
 def test_malformed_artifact_exits_2_naming_file(built, tmp_path_factory, capsys,
@@ -1321,6 +1326,24 @@ def test_corrupted_grid_rows_never_raise(built, tmp_path_factory, data):
 
 # ---------------------------------------------------------------------------
 # report
+
+
+def test_report_fits_the_second_half_of_the_trace(built):
+    # report.txt names the window [N/2, N], and each rates.csv row carries
+    # it and the slope that fit_rate gives over it
+    out = built["out"]
+    trace = read_trace_csv(os.path.join(out, "trace.csv"))
+    n = len(trace.steps)
+    assert re.search(rf"^fit window +: \[{n // 2}, {n}\]$",
+                     open(os.path.join(out, "report.txt")).read(), re.M)
+    header, *rows = (line.split(",") for line in
+                     open(os.path.join(out, "rates.csv")).read().splitlines())
+    assert header == ["quantity", "slope", "window_lo", "window_hi"]
+    ys = {"sigma": trace.sigma, "rho": trace.rho, "cond_C": trace.cond_c}
+    assert [r[0] for r in rows] == list(ys)
+    for name, slope, lo, hi in rows:
+        assert (float(lo), float(hi)) == (n / 2, n)
+        assert float(slope) == fit_rate(trace.steps, ys[name], (n / 2, n)), name
 
 
 def test_report_rewrites_analysis(built):

@@ -100,6 +100,18 @@ def test_select_converged_signal():
         select_standard(state, stop_tol=1.0)
 
 
+def test_stop_threshold_is_relative_to_the_largest_dual_norm():
+    # at m = 5 toy_three's squared dual norms differ by kind (at m = 4,
+    # scale 1, they are all 8), and a residual power between stop_tol times
+    # the smallest and stop_tol times the largest counts as exhausted
+    state = init(toy_three(), KernelSpec(m=5, d=2))
+    lo, hi = state.diag.min(), state.diag.max()
+    assert hi > 2.0 * lo
+    state.residual_power = np.full(3, 1e-3 * (lo + hi) / 2.0)
+    with pytest.raises(Converged):
+        select_standard(state, stop_tol=1e-3)
+
+
 def test_greedy_matches_brute_force_on_toy_triplet():
     fset = toy_three()
     state = init(fset, SPEC)
@@ -173,18 +185,27 @@ def test_extend_rejects_exhausted_functional():
         extend(state, pick)
 
 
-def test_extend_refuses_a_column_that_is_no_gram_column(monkeypatch):
-    # ten times the cross column leaves the chosen functional a residual
-    # power of -99 P^2: a broken Gram, which extend reports instead of
-    # clamping the power at zero
+@pytest.mark.parametrize("scale, broken", [(10.0, True), (1.00005, True),
+                                           (1.0 + 1e-13, False)])
+def test_extend_refuses_a_column_that_is_no_gram_column(monkeypatch, scale, broken):
+    # a cross column scaled by s leaves the chosen functional a residual
+    # power of (1 - s^2) P^2: -99 P^2 at s = 10 and about -1e-4 P^2 at
+    # s = 1.00005, a broken Gram, which extend reports instead of clamping
+    # the power at zero; about -2e-13 P^2 at s = 1 + 1e-13 is roundoff,
+    # which it clamps
     import greedypde.engine as engine
 
     real = engine.dual_inner_column
     monkeypatch.setattr(engine, "dual_inner_column",
-                        lambda *args, **kwargs: 10.0 * real(*args, **kwargs))
+                        lambda *args, **kwargs: scale * real(*args, **kwargs))
     state = init(toy_three(), SPEC)
-    with pytest.raises(NumericalError, match="negative"):
-        extend(state, select_standard(state))
+    chosen = select_standard(state)
+    if broken:
+        with pytest.raises(NumericalError, match="negative"):
+            extend(state, chosen)
+    else:
+        extend(state, chosen)
+        assert state.residual_power[chosen] == 0.0
 
 
 def test_a_finished_run_takes_no_further_steps(small_run):

@@ -249,6 +249,22 @@ def test_direct_collocation_rejects_singular_gram():
         direct_collocation_solve(fset, [0, 1], np.ones(2), SPEC, grid_points(5))
 
 
+@pytest.mark.parametrize("angle, singular", [(2e-5, False), (2e-9, True)])
+def test_direct_collocation_pivot_floor(angle, singular):
+    # two boundary deltas `angle` apart on the unit circle have a relative
+    # Cholesky pivot of about angle / 2 at m = 4: 1e-5 is a well-posed,
+    # if ill-conditioned, Gram, while 1e-9 (which the factorization rounds
+    # to sqrt(eps)) is below the oracle's 1e-7 floor
+    fset = FunctionalSet([boundary_delta((1.0, 0.0), 0),
+                          boundary_delta((np.cos(angle), np.sin(angle)), 1)])
+    if singular:
+        with pytest.raises(NumericalError, match="singular"):
+            direct_collocation_solve(fset, [0, 1], np.ones(2), SPEC, grid_points(5))
+    else:
+        vals = direct_collocation_solve(fset, [0, 1], np.ones(2), SPEC, grid_points(5))
+        assert np.isfinite(vals).all()
+
+
 def test_approximate_rejects_too_many_coefficients(small_run):
     state, fset, spec = small_run["state"], small_run["fset"], small_run["spec"]
     basis = evaluate_basis(state, grid_points(10))
