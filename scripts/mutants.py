@@ -77,8 +77,7 @@ CATALOGUE = [
            "if state.residual_power[i] <= _threshold(state, stop_tol):",
            "if state.residual_power[i] < _threshold(state, stop_tol):"),
     Mutant("norm1-min", _src("engine.py"),
-           "norm1 = float(self._c_abs_sums[:n].max())",
-           "norm1 = float(self._c_abs_sums[:n].min())"),
+           "float(sums[: k + 1].max())", "float(sums[: k + 1].min())"),
     Mutant("hager-one-iteration", _src("analysis.py"),
            "max_iter: int = 5", "max_iter: int = 1"),
     Mutant("zero-diagonal-accepted", _src("cli.py"),
@@ -94,8 +93,7 @@ CATALOGUE = [
     Mutant("kernel-file-ignored", _src("cli.py"),
            "if params != ours:", "if False:"),
     Mutant("newton-columns-kept-through-grid-pass", _src("engine.py"),
-           "    state._columns = np.zeros((0, len(fset)))\n"
-           "    state._l, state._l_rows = np.zeros((0, 0)), 0\n", ""),
+           "    state._columns = np.zeros((0, len(fset)))\n", ""),
     Mutant("grid-blocks-drop-tail", _src("engine.py"),
            "for a in range(0, max(n_points, 1), BLOCK)]",
            "for a in range(0, max(n_points - BLOCK + 1, 1), BLOCK)]"),
@@ -150,6 +148,15 @@ CATALOGUE = [
            "trans=trans, check_finite=False)", "trans=0, check_finite=False)"),
     Mutant("known-columns-not-copied", _src("engine.py"),
            "        raw[:, have] = known_rows[:, lo:hi]\n", ""),
+    Mutant("cond-norm-before-row", _src("engine.py"),
+           "        sums[: k + 1] += np.abs(c[k, : k + 1])\n"
+           "        cond[k] = analysis.condition_estimate(\n"
+           "            l[: k + 1, : k + 1], float(sums[: k + 1].max()), inverse=True)\n",
+           "        cond[k] = analysis.condition_estimate(\n"
+           "            l[: k + 1, : k + 1], float(sums[: k + 1].max()), inverse=True)\n"
+           "        sums[: k + 1] += np.abs(c[k, : k + 1])\n"),
+    Mutant("cond-l-whole-columns", _src("engine.py"),
+           "l[k, : k + 1] = state._columns[: k + 1, i]", "l[k] = state._columns[:n, i]"),
 ]
 
 

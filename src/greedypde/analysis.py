@@ -2,12 +2,12 @@
 and singular-value decay of basis-value matrices.
 
 The condition estimate probes C^{-1} with products when the caller holds
-it (a build passes the Newton system's L = C^{-1} at every step) and with
-scipy.linalg.solve_triangular when it holds only C (a restored basis, or
-the state a run returns, for which no command asks); scipy.linalg loads
-inside those solves and inside singular_values, which only
-scripts/run_desk_experiments.py calls.  So `build` and `report` run without
-scipy.linalg.
+it (a run passes each leading block of the Newton system's L = C^{-1}, in
+one pass after its last step) and with scipy.linalg.solve_triangular when
+it holds only C (GreedyState.cond_c, for which no command asks);
+scipy.linalg loads inside those solves and inside singular_values, which
+only scripts/run_desk_experiments.py calls.  So `build` and `report` run
+without scipy.linalg.
 """
 
 from __future__ import annotations

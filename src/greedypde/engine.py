@@ -5,29 +5,28 @@ coefficient matrix C expressing the orthonormal functionals in terms of the
 selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
-is (N+2)|Lambda| floats plus C, the N column sums of |C| (which extend
-keeps for the per-step condition estimate) and, once that estimate is
-asked for, L = C^{-1}; the candidate set itself is
+is (N+2)|Lambda| floats plus C; the candidate set itself is
 d + 1 floats and a flag per candidate (FunctionalSet's packed arrays), with
 no Python object per candidate.  The Newton columns at the selected indices
-form L, the Cholesky factor of the selected Gram matrix (Mueller & Schaback
-2009): row k of L is (lam_{sel_k}, mu_j) for j <= k, which extend gathers
-anyway for its projection.
+form L = C^{-1}, the Cholesky factor of the selected Gram matrix (Mueller &
+Schaback 2009): row k of L is (lam_{sel_k}, mu_j) for j <= k, which extend
+gathers anyway for its projection.
 A step costs one kernel column over the set, one N x |Lambda| matvec
 (O(N |Lambda|): one projection, as in the Newton-basis recursion of Pazouki
-& Schaback 2011) and O(N^2) for the C row and the trace's condition
-estimate: ||C||_1 comes from the column sums, which each step updates by its
-new row, and Hager's probes of ||C^{-1}||_1 are products with L, so the
-estimate solves nothing and copies nothing.  `run` allocates the Newton
-columns and C once for n_max rows, and L at C's capacity on its first
-condition estimate, and never copies them; np.zeros commits pages only as
-rows are written, so the rows a converged run never reaches cost no
-resident memory.  Nothing after the last step reads the Newton columns or
-L, so `run` frees both then: the state it returns holds C, the picks and
-the powers, as a restored state does, and takes no further steps.  A state
-driven through init/extend directly grows its arrays by doubling.  Nor does
-any reader copy C: c_matrix is a read-only view of its storage, so the
-solver and the CLI hold C once per process.
+& Schaback 2011) and O(N^2) for the C row.  The trace's condition estimates
+are a function of the finished C and L, so `run` computes all of them in
+one pass after its last step (_cond_column), which holds one N x N L and
+spends O(N^2) per step's estimate: Hager's probes of ||C_k^{-1}||_1 are
+products with L's leading block, so the pass solves nothing.  `run`
+allocates the Newton columns and C once for n_max rows and never copies
+them; np.zeros commits pages only as rows are written, so the rows a
+converged run never reaches cost no resident memory.  Nothing after that
+pass reads the Newton columns, so `run` frees them then: the state it
+returns holds C, the picks and the powers, as a restored state does, and
+takes no further steps.  A state driven through init/extend directly grows
+its arrays by doubling.  Nor does any reader copy C: c_matrix is a
+read-only view of its storage, so the solver and the CLI hold C once per
+process.
 The operator-delta half of a column is the bilaplacian at radii that recur
 from step to step, so the state keeps one table of them
 (functionals.BilaplacianTable) and each distinct radius is evaluated once
@@ -52,8 +51,7 @@ the caller's sink once used (the CLI writes gridbasis.npy from it), so a
 run holds one N x BLOCK block, never an N x P array.  The pass holds it
 beside C, the O(|Lambda| + P) powers and, in extended mode, the rows at Y,
 but not beside the Newton columns, so a run whose n_max x |Lambda| columns
-outweigh one block (as at every benchmark scale) peaks at its last
-selection step.
+outweigh one block (as at every benchmark scale) peaks before the pass.
 """
 
 from __future__ import annotations
@@ -112,9 +110,10 @@ def _with_capacity(arr: np.ndarray, cap: int, n: int, axes: int = 1) -> np.ndarr
 
 class GreedyState:
     """Mutable selection state over a fixed functional set, with room for
-    `rows` selected functionals before its arrays grow.  The state that
-    `run` returns, like a restored one, holds no Newton columns and takes no
-    further steps."""
+    `rows` selected functionals before its arrays grow.  It holds only what
+    a step reads; the trace's cond_C column comes from run's pass over the
+    finished state.  The state that `run` returns, like a restored one,
+    holds no Newton columns and takes no further steps."""
 
     def __init__(self, fset: FunctionalSet, spec: KernelSpec,
                  rows: int = _INITIAL_CAPACITY):
@@ -127,12 +126,6 @@ class GreedyState:
         self.dd_table = BilaplacianTable(spec)
         self._columns = np.zeros((rows, len(fset)))
         self._c = np.zeros((rows, rows))
-        # column sums of |C|, one row added per step, and L = C^{-1}, whose
-        # first _l_rows rows cond_c has written; cond_c sizes it to C's
-        # capacity when it first needs it
-        self._c_abs_sums = np.zeros(rows)
-        self._l = np.zeros((0, 0))
-        self._l_rows = 0
 
     @property
     def n(self) -> int:
@@ -157,28 +150,11 @@ class GreedyState:
         return view
 
     def cond_c(self) -> float:
-        """analysis.condition_estimate of the coefficient matrix.
-
-        A restored state, or the state that run returns, has no Newton
-        columns, so its estimate is that of C alone: column sums of |C| and
-        triangular solves with C.  Otherwise ||C||_1 comes from the running
-        column sums of |C|, which equal np.abs(C).sum(axis=0) bit for bit
-        (numpy reduces axis 0 of a C-ordered array by adding row after
-        row), and Hager's probes multiply by L = C^{-1}, whose row k is
-        Newton columns 0..k at the k-th pick.  Each call copies in the rows
-        of the steps since the last one (one row per call in a run) and
-        reads the leading block of L in place, so a step allocates no N x N
-        array, and a state that never asks holds no L."""
-        n = self.n
-        if len(self._columns) < n:
-            return analysis.condition_estimate(self._c[:n, :n])
-        norm1 = float(self._c_abs_sums[:n].max()) if n else 0.0
-        if len(self._l) < n:
-            self._l = _with_capacity(self._l, len(self._c), self._l_rows, axes=2)
-        for k in range(self._l_rows, n):
-            self._l[k, : k + 1] = self._columns[: k + 1, self.selected[k]]
-        self._l_rows = n
-        return analysis.condition_estimate(self._l[:n, :n], norm1, inverse=True)
+        """analysis.condition_estimate of the coefficient matrix: column sums
+        of |C| and triangular solves with C, for every state.  It keeps
+        nothing, so a call leaves the state's storage as it was.  run's
+        trace column agrees with it to roundoff (see _cond_column)."""
+        return analysis.condition_estimate(self.c_matrix())
 
     def sigma(self) -> float:
         """Current sup of the power function over the candidate set."""
@@ -188,11 +164,11 @@ class GreedyState:
         """Floats allocated in the bulk arrays (storage-contract counter).
 
         A state sized for a run counts its n_max rows from the first step on,
-        whether or not their pages are committed yet; L counts from the first
-        condition estimate, which allocates it.  The state that run returns
-        counts neither, since run frees both after its last step."""
-        return (self._columns.size + self._c.size + self._c_abs_sums.size
-                + self._l.size + self.diag.size + self.residual_power.size)
+        whether or not their pages are committed yet.  The state that run
+        returns counts no Newton columns, since run frees them after its
+        last step."""
+        return (self._columns.size + self._c.size + self.diag.size
+                + self.residual_power.size)
 
     def _reserve_row(self) -> None:
         """Make room for one more selected functional."""
@@ -201,7 +177,6 @@ class GreedyState:
             cap = max(2 * n, _INITIAL_CAPACITY)
             self._columns = _with_capacity(self._columns, cap, n)
             self._c = _with_capacity(self._c, cap, n, axes=2)
-            self._c_abs_sums = _with_capacity(self._c_abs_sums, cap, n)
 
 
 def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
@@ -293,7 +268,6 @@ def extend(state: GreedyState, chosen: int,
     state._columns[N] = w
     state._c[N, :N] = -c * (proj @ ctri)
     state._c[N, N] = c
-    state._c_abs_sums[: N + 1] += np.abs(state._c[N, : N + 1])
     state.selected.append(int(chosen))
 
     res = state.residual_power - w**2
@@ -396,6 +370,27 @@ def _deflate(power: np.ndarray, row: np.ndarray, square: np.ndarray) -> None:
     np.maximum(power, 0.0, out=power)
 
 
+def _cond_column(state: GreedyState) -> np.ndarray:
+    """The trace's cond_C column of a state that still holds its Newton
+    columns: entry k is analysis.condition_estimate of C's leading
+    (k+1) x (k+1) block.  ||C_k||_1 comes from column sums of |C| that add
+    row after row, which equal np.abs(C_k).sum(axis=0) bit for bit (numpy
+    reduces axis 0 of a C-ordered array the same way), and Hager's probes
+    multiply by L's leading block, L = C^{-1}, whose row k is Newton columns
+    0..k at the k-th pick."""
+    n = state.n
+    c = state._c[:n, :n]
+    l = np.zeros((n, n))
+    sums = np.zeros(n)
+    cond = np.empty(n)
+    for k, i in enumerate(state.selected):
+        l[k, : k + 1] = state._columns[: k + 1, i]
+        sums[: k + 1] += np.abs(c[k, : k + 1])
+        cond[k] = analysis.condition_estimate(
+            l[: k + 1, : k + 1], float(sums[: k + 1].max()), inverse=True)
+    return cond
+
+
 def _grid_pass(state: GreedyState, points: np.ndarray,
                sink: Callable[[slice, np.ndarray], None] | None, known=None,
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -439,8 +434,10 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
     v_{mu_k}(x) = (C @ raw)[k, x] on the block's points (a buffer that the
     next block overwrites, as in basis_value_blocks).  They do not depend on
     the problem, so a solve on the same grid can read them instead of
-    evaluating the representers again.  The returned state holds no Newton
-    columns and no L: run frees them after the last step.
+    evaluating the representers again.  The trace's cond_C column comes
+    from one pass over the finished C and Newton columns (_cond_column)
+    after the last step.  The returned state holds no Newton columns: run
+    frees them after that pass.
     """
     if mode not in ("standard", "extended"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -470,8 +467,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
          for own in kind_masks]
     nearest = np.full(len(fset), np.inf)
 
-    rows = {k: [] for k in ("sigma", "kind", "h_domain", "h_boundary",
-                            "cond_c", "bmax")}
+    rows = {k: [] for k in ("sigma", "kind", "h_domain", "h_boundary", "bmax")}
     for _ in range(n_max):
         try:
             if mode == "extended":
@@ -502,17 +498,16 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         rows["kind"].append("B" if is_boundary else "D")
         rows["h_domain"].append(h[0])
         rows["h_boundary"].append(h[1])
-        rows["cond_c"].append(state.cond_c())
         rows["bmax"].append(float(state.residual_power[bnd_idx].max()) if bnd_idx.size
                             else math.nan)
 
     n_steps = len(rows["sigma"])
+    cond_c = _cond_column(state)
     # The grid pass reads only the picks, C and the rows at Y, so the Newton
-    # columns and L go before it; they are rebound, since a [:0] view would
-    # keep their storage.  So the pass holds its block beside C, not beside
-    # the columns, and a run peaks at its last step.
+    # columns go before it; they are rebound, since a [:0] view would keep
+    # their storage.  So the pass holds its block beside C, not beside the
+    # columns, and a run peaks while it still holds them.
     state._columns = np.zeros((0, len(fset)))
-    state._l, state._l_rows = np.zeros((0, 0)), 0
     if eval_grid is not None:
         # the rows at Y are already evaluated
         known = (y_indices, y_raw[: state.n]) if mode == "extended" else None
@@ -526,7 +521,7 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         kind=rows["kind"],
         h_domain=np.array(rows["h_domain"]),
         h_boundary=np.array(rows["h_boundary"]),
-        cond_c=np.array(rows["cond_c"]),
+        cond_c=cond_c,
         boundary_power_max=np.array(rows["bmax"]),
         grid_power=grid_power,
     )

@@ -124,19 +124,20 @@ def test_orthonormality_at_m6(desk_m6):
 @pytest.mark.parametrize("name, bound", [("desk_m4", 1e-10), ("desk_m4_extended", 1e-10),
                                          ("desk_m6", 1e-6)])
 def test_newton_factor_inverts_c(name, bound, request):
-    # the L that the cond_C estimate probes is C^{-1}: zero above the
-    # diagonal, and C L = I to roundoff (at m=6 within the bound of
-    # test_orthonormality_at_m6).  The run frees its Newton columns and L
-    # after the last step, so its picks are taken again through init/extend,
-    # which gives the run's columns, and so its C, bit for bit
+    # the L that the cond_C estimate probes, the lower triangle of the Newton
+    # columns at the picks, is C^{-1}: what it leaves out above the diagonal
+    # is roundoff, and C L = I to roundoff (at m=6 within the bound of
+    # test_orthonormality_at_m6).  The run frees its Newton columns after the
+    # last step, so its picks are taken again through init/extend, which
+    # gives the run's columns, and so its C, bit for bit
     res = request.getfixturevalue(name)
     state, replay = res["state"], init(res["fset"], res["spec"])
     for i in state.selected:
         extend(replay, i)
     assert replay.c_matrix().tobytes() == state.c_matrix().tobytes()
-    replay.cond_c()
-    L = replay._l[: state.n, : state.n]
-    assert not np.triu(L, 1).any()
+    at_picks = replay.newton_columns[:, state.selected].T
+    L = np.tril(at_picks)
+    assert np.abs(np.triu(at_picks, 1)).max() <= bound
     assert np.abs(state.c_matrix() @ L - np.eye(state.n)).max() <= bound
 
 

@@ -363,45 +363,55 @@ def assert_hager_on_inverse(cond, C, L):
     assert cond <= exact * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("mode", ["standard", "extended"])
-@pytest.mark.parametrize("m", [4, 6])
-def test_cond_c_column_equals_condition_estimate_of_each_block(m, mode):
+# 6-standard-early stops at stop_tol after 29 steps, so C's storage (n_max =
+# 60 rows) is larger than the N x N block that the cond_C pass reads
+@pytest.mark.parametrize("m, mode, n_max, stop_tol, steps", [
+    pytest.param(m, mode, 30, 1e-12, 30, id=f"{m}-{mode}")
+    for mode in ("standard", "extended") for m in (4, 6)
+] + [pytest.param(6, "standard", 60, 1e-4, 29, id="6-standard-early")])
+def test_cond_c_column_equals_condition_estimate_of_each_block(m, mode, n_max,
+                                                                stop_tol, steps):
     geometry = disk_candidates(120, 16)
     fset = disk_functional_set(geometry)
     grid = evaluation_grid(geometry, 0.1)
-    state, trace = run(fset, KernelSpec(m=m, d=2), mode=mode, n_max=30,
-                       eval_grid=grid)
+    state, trace = run(fset, KernelSpec(m=m, d=2), mode=mode, n_max=n_max,
+                       stop_tol=stop_tol, eval_grid=grid)
     C, L = state.c_matrix(), newton_factor(replayed(state))
-    assert len(trace.cond_c) == state.n == 30
+    assert len(trace.cond_c) == state.n == steps
     for k, cond in enumerate(trace.cond_c, start=1):
         assert_hager_on_inverse(cond, C[:k, :k], L[:k, :k])
 
 
 def test_cond_c_past_the_initial_capacity():
-    # init/extend doubles C from 16 rows, which must carry the column sums
-    # of |C|; cond_c sizes L to C's capacity and copies in each new row
+    # init/extend doubles C from 16 rows; cond_c estimates the leading block
+    # by solves with C, within roundoff of the L-probed estimate of the
+    # trace, and keeps nothing, at every step or only now and then
     fset = toy_disk(120, 16)
     state = init(fset, SPEC)
     conds = []
     for _ in range(40):
         extend(state, select_standard(state))
+        before = state.bulk_float_count()
         conds.append(state.cond_c())
-        assert_hager_on_inverse(conds[-1], state.c_matrix(), newton_factor(state))
-    # a state that asks for cond_C only now and then holds no L before its
-    # first call, and each call copies in every row added since the last
+        assert state.bulk_float_count() == before
+        C, L = state.c_matrix(), newton_factor(state)
+        assert conds[-1] == condition_estimate(C)
+        norm1 = float(np.abs(C).sum(axis=0).max())
+        assert conds[-1] == pytest.approx(condition_estimate(L, norm1, inverse=True),
+                                          rel=1e-13, abs=0.0)
+        exact = norm1 * float(np.abs(np.linalg.inv(C)).sum(axis=0).max())
+        assert conds[-1] <= exact * (1 + 1e-12)
     late = init(fset, SPEC)
     for step in range(1, 41):
         extend(late, select_standard(late))
-        if step == 5:
+        if step in (5, 23, 40):
             before = late.bulk_float_count()
-            assert late.cond_c() == conds[4]
-            assert late.bulk_float_count() == before + 16**2
-        elif step in (23, 40):
             assert late.cond_c() == conds[step - 1], step
+            assert late.bulk_float_count() == before
     rng = np.random.default_rng(3)
     L = np.tril(rng.standard_normal((3, 3))) + 3.0 * np.eye(3)
     restored = restore_state(toy_three(), L, SPEC)
-    assert restored.cond_c() == condition_estimate(L)
+    assert restored.cond_c() == condition_estimate(restored.c_matrix()) == condition_estimate(L)
 
 
 def test_run_rejects_bad_arguments():
@@ -593,8 +603,12 @@ def test_storage_counter_linear_in_steps():
         extend(state, select_standard(state))
         if step in (25, 50):
             counts[step] = state.bulk_float_count()
-    # bulk arrays stay within a small constant of the (N+2)|Lambda| contract
+    # bulk arrays are the Newton columns and C at the state's capacity (32
+    # rows at 25 steps, 64 at 50) and two |Lambda| vectors, which stay
+    # within a small constant of the (N+2)|Lambda| contract
     for step, floats in counts.items():
+        cap = 32 if step == 25 else 64
+        assert floats == cap * n + cap**2 + 2 * n
         assert floats <= 2.5 * (step + 2) * n + 4 * step**2
     assert counts[50] <= 2.2 * counts[25]
 
@@ -713,8 +727,8 @@ def test_grid_pass_adds_nothing_to_the_runs_peak():
 
 
 def test_run_copies_no_coefficient_matrix_per_step(monkeypatch):
-    # the condition estimate reads the running column sums and L, not a
-    # fresh copy of C
+    # the pass that gives the cond_C column reads C's storage and the
+    # Newton columns in place, not a fresh copy of C
     calls = []
     real = GreedyState.c_matrix
 
