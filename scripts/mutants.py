@@ -157,6 +157,18 @@ CATALOGUE = [
            "        sums[: k + 1] += np.abs(c[k, : k + 1])\n"),
     Mutant("cond-l-whole-columns", _src("engine.py"),
            "l[k, : k + 1] = state._columns[: k + 1, i]", "l[k] = state._columns[:n, i]"),
+    Mutant("cond-l-by-step", _src("engine.py"),
+           "l[k, : k + 1] = state._columns[: k + 1, i]",
+           "l[k, : k + 1] = state._columns[: k + 1, k]"),
+    Mutant("known-rows-by-position", _src("engine.py"),
+           "have = cols[lo:hi] - j.start", "have = np.arange(hi - lo)"),
+    Mutant("trace-sigma-16-digits", _src("runio.py"),
+           'fmt=["%d", _FMT, _FMT, "%s", _FMT, _FMT, _FMT]',
+           'fmt=["%d", "%.16g", _FMT, "%s", _FMT, _FMT, _FMT]'),
+    Mutant("selected-coordinates-16-digits", _src("functionals.py"),
+           '["%.17g"] * (table.shape[-1] - 1)', '["%.16g"] * (table.shape[-1] - 1)'),
+    Mutant("dump-pairs-no-trailing-newline", _src("config.py"),
+           "for k, v in pairs.items())", "for k, v in pairs.items())[:-1]"),
 ]
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import runio, solver
 from .analysis import fit_rate
-from .config import RunConfig, dump_config, load_config, parse_pairs
+from .config import RunConfig, dump_config, dump_pairs, load_config, parse_pairs
 from .engine import GreedyState, restore_state, run
 from .errors import ConfigError, GreedyPDEError, NumericalError
 from .functionals import (
@@ -213,7 +213,7 @@ def _write_analysis(out: str, trace) -> None:
         [("sigma", sigma_rate, *window), ("rho", rho_rate, *window),
          ("cond_C", cond_rate, *window)],
     )
-    _write_artifact(runio.write_plot_script, os.path.join(out, "make_plots.py"))
+    _write_text(os.path.join(out, "make_plots.py"), runio.PLOT_SCRIPT)
 
 
 def cmd_build(cfg: RunConfig, out_dir: str) -> None:
@@ -256,8 +256,7 @@ def cmd_build(cfg: RunConfig, out_dir: str) -> None:
             ["x1", "x2", "p2_delta"],
             [grid.points[:, 0], grid.points[:, 1], trace.grid_power],
         )
-        _write_text(os.path.join(tmp, "kernel.txt"),
-                    "".join(f"{k} = {v}\n" for k, v in asdict(spec).items()))
+        _write_text(os.path.join(tmp, "kernel.txt"), dump_pairs(asdict(spec)))
         _write_text(os.path.join(tmp, "config.txt"), dump_config(cfg))
         _write_analysis(tmp, trace)
 

@@ -1,5 +1,9 @@
 """Run configuration: plain key=value text with # comments.
 
+parse_pairs and dump_pairs are the two halves of that `key = value`
+grammar, the reader and the writer; kernel.txt is written and read with
+them too.
+
 Defaults reproduce the desk-scale disk experiment (2000 domain candidates,
 120 boundary candidates, 200 steps); the full-scale setup is reached by
 overriding the counts and n_max.
@@ -8,7 +12,7 @@ overriding the counts and n_max.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .errors import ConfigError
 
@@ -49,8 +53,10 @@ class RunConfig:
             )
         if self.scale <= 0:
             raise ConfigError("scale: must be positive")
-        if self.domain_count < 1 or self.boundary_count < 1:
-            raise ConfigError("domain_count/boundary_count: must be >= 1")
+        if self.domain_count < 1:
+            raise ConfigError("domain_count: must be >= 1")
+        if self.boundary_count < 1:
+            raise ConfigError("boundary_count: must be >= 1")
         if self.n_max < 1:
             raise ConfigError("n_max: must be >= 1")
         if not 0 <= self.stop_tol < 1:  # at 1 or above not even the first step is taken
@@ -126,11 +132,12 @@ def load_config(path) -> RunConfig:
         return parse_config(fh.read())
 
 
+def dump_pairs(pairs: dict) -> str:
+    """The text that parse_pairs reads back as the pairs: one `key = value`
+    line each, in order, a tuple's items joined by ', '."""
+    return "".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                   for k, v in pairs.items())
+
+
 def dump_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if f.name == "problem_center":
-            v = f"{v[0]!r}, {v[1]!r}"
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
+    return dump_pairs(asdict(cfg))

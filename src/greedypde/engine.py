@@ -99,15 +99,6 @@ BLOCK = 512
 _GROUP = 4
 
 
-def _with_capacity(arr: np.ndarray, cap: int, n: int, axes: int = 1) -> np.ndarray:
-    """Zero array whose first `axes` axes have length cap, holding the
-    leading n entries of arr along them."""
-    out = np.zeros((cap,) * axes + arr.shape[axes:])
-    keep = (slice(0, n),) * axes
-    out[keep] = arr[keep]
-    return out
-
-
 class GreedyState:
     """Mutable selection state over a fixed functional set, with room for
     `rows` selected functionals before its arrays grow.  It holds only what
@@ -175,8 +166,11 @@ class GreedyState:
         n = self.n
         if n == len(self._columns):
             cap = max(2 * n, _INITIAL_CAPACITY)
-            self._columns = _with_capacity(self._columns, cap, n)
-            self._c = _with_capacity(self._c, cap, n, axes=2)
+            columns = np.zeros((cap, len(self.fset)))
+            columns[:n] = self._columns[:n]
+            c = np.zeros((cap, cap))
+            c[:n, :n] = self._c[:n, :n]
+            self._columns, self._c = columns, c
 
 
 def init(fset: FunctionalSet, spec: KernelSpec) -> GreedyState:
@@ -392,7 +386,7 @@ def _cond_column(state: GreedyState) -> np.ndarray:
 
 
 def _grid_pass(state: GreedyState, points: np.ndarray,
-               sink: Callable[[slice, np.ndarray], None] | None, known=None,
+               sink: Callable[[slice, np.ndarray], None] | None, known,
                ) -> tuple[np.ndarray, np.ndarray]:
     """(rho, grid_power) of the state's basis on the points, one block of
     basis_value_blocks at a time.  A block's delta powers start at K(0) and

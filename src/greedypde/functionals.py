@@ -371,11 +371,12 @@ def data_vector(fset: FunctionalSet, indices, solution) -> np.ndarray:
 
 
 def write_functionals(path, entries: Sequence[Functional]) -> None:
-    """Dump functionals as 'B|D x1 ... xd' lines."""
-    with open(path, "w") as fh:
-        for f in entries:
-            coords = " ".join(format(c, ".17g") for c in f.point)
-            fh.write(f"{f.kind} {coords}\n")
+    """Dump functionals as 'B|D x1 ... xd' lines; no functionals give an
+    empty file."""
+    # (n, 1 + d) objects, or shape (0,) for no functionals, which savetxt
+    # takes as one column
+    table = np.array([(f.kind, *f.point) for f in entries], dtype=object)
+    np.savetxt(path, table, fmt=["%s"] + ["%.17g"] * (table.shape[-1] - 1), delimiter=" ")
 
 
 def read_functionals(path) -> list[Functional]:

@@ -143,9 +143,8 @@ def evaluation_grid(geometry: DiskGeometry, spacing: float) -> EvalGrid:
 
 def write_points(path, points) -> None:
     """Plain point list, one 'x1 ... xd' line per point."""
-    with open(path, "w") as fh:
-        for p in np.atleast_2d(np.asarray(points, dtype=float)):
-            fh.write(" ".join(format(c, ".17g") for c in p) + "\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(points, dtype=float)), fmt="%.17g",
+               delimiter=" ")
 
 
 def read_points(path) -> np.ndarray:

@@ -2,8 +2,11 @@
 traces, matrices, power grids, grid basis values and their checksums,
 error/coefficient tables and reports.
 
-Every CSV body is read by one loader, _read_rows.  kernel.txt is not here: it
-is three lines of the config grammar, read back with config.parse_pairs."""
+Every CSV is written by one np.savetxt call, with per-column formats where
+the columns mix integers, strings and floats, and every CSV body is read by
+one loader, _read_rows.  kernel.txt is not here: it is three lines of the
+config grammar, written with config.dump_pairs and read back with
+config.parse_pairs."""
 
 from __future__ import annotations
 
@@ -16,11 +19,9 @@ import numpy as np
 
 from .engine import RunTrace
 
-_FMT = ".17g"
+_FMT = "%.17g"
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FMT)
+_TRACE_HEADER = "N,sigma,rho,kind,h_domain,h_boundary,cond_C"
 
 
 # ---------------------------------------------------------------------------
@@ -28,14 +29,11 @@ def _fmt(x: float) -> str:
 
 
 def write_trace_csv(path, trace: RunTrace) -> None:
-    with open(path, "w") as fh:
-        fh.write("N,sigma,rho,kind,h_domain,h_boundary,cond_C\n")
-        for i in range(len(trace.steps)):
-            fh.write(
-                f"{trace.steps[i]},{_fmt(trace.sigma[i])},{_fmt(trace.rho[i])},"
-                f"{trace.kind[i]},{_fmt(trace.h_domain[i])},"
-                f"{_fmt(trace.h_boundary[i])},{_fmt(trace.cond_c[i])}\n"
-            )
+    # an object table keeps N an integer and kind a string
+    table = np.array([trace.steps, trace.sigma, trace.rho, trace.kind,
+                      trace.h_domain, trace.h_boundary, trace.cond_c], dtype=object).T
+    np.savetxt(path, table, fmt=["%d", _FMT, _FMT, "%s", _FMT, _FMT, _FMT],
+               delimiter=",", header=_TRACE_HEADER, comments="")
 
 
 def read_trace_csv(path) -> RunTrace:
@@ -43,7 +41,7 @@ def read_trace_csv(path) -> RunTrace:
     7 fields; anything else raises ValueError."""
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "N,sigma,rho,kind,h_domain,h_boundary,cond_C":
+        if header != _TRACE_HEADER:
             raise ValueError(f"unexpected trace header {header!r}")
         steps, sigma, rho, kind, hd, hb, cc = _read_rows(fh, dtype=str).T
     return RunTrace(
@@ -63,7 +61,7 @@ def read_trace_csv(path) -> RunTrace:
 
 def write_matrix_csv(path, matrix) -> None:
     np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=float)),
-               fmt=f"%{_FMT}", delimiter=",")
+               fmt=_FMT, delimiter=",")
 
 
 def _read_rows(fh, dtype=float) -> np.ndarray:
@@ -89,7 +87,7 @@ def read_matrix_csv(path) -> np.ndarray:
 
 
 def write_table_csv(path, header: list[str], columns: list[np.ndarray]) -> None:
-    np.savetxt(path, np.column_stack(columns), fmt=f"%{_FMT}", delimiter=",",
+    np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
                header=",".join(header), comments="")
 
 
@@ -224,13 +222,12 @@ def format_report(lines: dict) -> str:
 
 def write_rates_csv(path, rates: list[tuple[str, float, float, float]]) -> None:
     """Rows of (quantity, slope, window_lo, window_hi)."""
-    with open(path, "w") as fh:
-        fh.write("quantity,slope,window_lo,window_hi\n")
-        for name, slope, lo, hi in rates:
-            fh.write(f"{name},{_fmt(slope)},{_fmt(lo)},{_fmt(hi)}\n")
+    np.savetxt(path, np.array(rates, dtype=object), fmt=["%s", _FMT, _FMT, _FMT],
+               delimiter=",", header="quantity,slope,window_lo,window_hi", comments="")
 
 
-_PLOT_SCRIPT = """\
+# the script that the CLI writes beside a trace as make_plots.py
+PLOT_SCRIPT = """\
 #!/usr/bin/env python3
 # Render the run trace written next to this script.
 import csv
@@ -259,8 +256,3 @@ fig.tight_layout()
 fig.savefig("trace_plots.png", dpi=150)
 print("wrote trace_plots.png")
 """
-
-
-def write_plot_script(path) -> None:
-    with open(path, "w") as fh:
-        fh.write(_PLOT_SCRIPT)

@@ -25,7 +25,7 @@ import greedypde.engine
 import greedypde.solver
 from greedypde.analysis import fit_rate
 from greedypde.cli import main
-from greedypde.config import RunConfig, load_config, parse_config
+from greedypde.config import RunConfig, dump_config, load_config, parse_config
 from greedypde.engine import restore_state, run
 from greedypde.errors import ConfigError, NumericalError
 from greedypde.functionals import (
@@ -78,6 +78,14 @@ def test_config_parsing_with_comments_and_overrides():
     assert cfg.m == 6
     assert cfg.mode == "extended"
     assert cfg.problem_center == (0.1, -0.2)
+
+
+def test_dumped_config_reads_back_and_takes_an_appended_key():
+    cfg = RunConfig(m=6, scale=0.3, mode="extended", problem_center=(0.1, -1 / 3))
+    text = dump_config(cfg)
+    assert parse_config(text) == cfg
+    # a key appended to a dumped config, as to any config file, overrides it
+    assert parse_config(text + "n_max = 7\n") == RunConfig(**{**vars(cfg), "n_max": 7})
 
 
 def test_config_unknown_key_is_named():
@@ -340,14 +348,24 @@ def test_report_past_a_file_size_limit_leaves_its_files_whole(built, tmp_path):
     assert sorted(os.listdir(out)) == listing
 
 
-@pytest.mark.parametrize("key, value", [("workers", "-3"), ("stop_tol", "1")],
-                         ids=["workers", "stop_tol"])
+_OUT_OF_RANGE = {"workers": "-3", "stop_tol": "1", "domain_count": "0",
+                 "boundary_count": "0", "n_max": "0", "y_size": "0", "scale": "0",
+                 "grid_spacing": "-0.1", "problem_shape": "0", "problem_exponent": "-1",
+                 "m": "3", "d": "3", "mode": "fancy", "problem": "heat"}
+
+
+@pytest.mark.parametrize("key, value", list(_OUT_OF_RANGE.items()), ids=list(_OUT_OF_RANGE))
 def test_build_out_of_range_key_exits_2_naming_it(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path, SMALL_CFG + f"{key} = {value}\n")
     out = tmp_path / "w"
     capsys.readouterr()
     assert main(["build", "--config", cfg, "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: "), err
+    # the two counts are checked apart, so a message names only the one out
+    # of range
+    other = {"domain_count": "boundary_count", "boundary_count": "domain_count"}.get(key)
+    assert other is None or other not in err, err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from greedypde.analysis import condition_estimate
 from greedypde.engine import (
     BLOCK,
     GreedyState,
+    RunTrace,
     extend,
     grid_blocks,
     init,
@@ -32,7 +34,7 @@ from greedypde.functionals import (
     riesz_value,
     write_functionals,
 )
-from greedypde.geometry import disk_candidates, evaluation_grid, fill_distance
+from greedypde.geometry import DiskGeometry, disk_candidates, evaluation_grid, fill_distance
 from greedypde.kernels import KernelSpec, kernel_value, radial_kernel
 from greedypde.parallel import resolve_workers
 from greedypde.solver import (
@@ -814,3 +816,68 @@ def test_run_invariants_over_the_config_space(m, scale, mode, n_domain, n_bounda
     assert [j for j, _ in again_blocks] == [j for j, _ in blocks]
     for (_, rows), (_, again_rows) in zip(blocks, again_blocks):
         assert again_rows.tobytes() == rows.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# metamorphic oracles: a run's results do not depend on the order of the
+# candidates, nor on an isometry of the square that is exact in floating
+# point, bit for bit; they need no reference data and hold at every m,
+# scale and mode
+
+
+def _tie_free_set():
+    """(points, domain_mask, grid): 600 uniform domain candidates in r < 0.99
+    and 60 boundary candidates at random angles, so that no two candidates
+    tie after the first step, and a coarse evaluation grid on them."""
+    rng = np.random.default_rng(0)
+    r, t = 0.99 * np.sqrt(rng.uniform(size=600)), rng.uniform(0.0, 2 * np.pi, 600)
+    domain = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    a = rng.uniform(0.0, 2 * np.pi, 60)
+    boundary = np.column_stack([np.cos(a), np.sin(a)])
+    points = np.vstack([domain, boundary])
+    grid = evaluation_grid(DiskGeometry(domain, boundary), 0.25)
+    return points, np.arange(len(points)) < len(domain), grid
+
+
+def _assert_same_run(state, trace, other_state, other_trace, names):
+    assert other_state.c_matrix().tobytes() == state.c_matrix().tobytes()
+    for name in names:
+        ours, theirs = getattr(trace, name), getattr(other_trace, name)
+        if isinstance(ours, np.ndarray):
+            assert theirs.dtype == ours.dtype and theirs.tobytes() == ours.tobytes(), name
+        else:
+            assert theirs == ours, name
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([4, 5, 6]),
+       scale=st.sampled_from([0.5, 1.0, 2.0]),
+       mode=st.sampled_from(["standard", "extended"]))
+def test_run_is_equivariant_under_candidate_permutation(seed, m, scale, mode):
+    points, domain_mask, grid = _tie_free_set()
+    spec = KernelSpec(m=m, d=2, scale=scale)
+    state, trace = run(FunctionalSet.from_arrays(points, domain_mask), spec,
+                       mode=mode, n_max=60, eval_grid=grid)
+    # step 1 is an exact tie among the candidates of one kind, which the
+    # lowest index settles, so the first pick keeps index 0
+    perm = np.random.default_rng(seed).permutation(len(points))
+    perm = np.r_[state.selected[0], perm[perm != state.selected[0]]]
+    p_state, p_trace = run(FunctionalSet.from_arrays(points[perm], domain_mask[perm]),
+                           spec, mode=mode, n_max=60, eval_grid=grid)
+    assert perm[p_state.selected].tolist() == state.selected
+    _assert_same_run(state, trace, p_state, p_trace, [f.name for f in fields(RunTrace)])
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_run_is_invariant_under_the_squares_isometries(m):
+    points, domain_mask, _ = _tie_free_set()
+    spec = KernelSpec(m=m, d=2)
+    state, trace = run(FunctionalSet.from_arrays(points, domain_mask), spec, n_max=60)
+    x, y = points.T
+    # reflect x, reflect y, swap the coordinates, rotate by 90 degrees
+    for image in (np.c_[-x, y], np.c_[x, -y], np.c_[y, x], np.c_[-y, x]):
+        i_state, i_trace = run(FunctionalSet.from_arrays(image, domain_mask), spec,
+                               n_max=60)
+        assert i_state.selected == state.selected
+        _assert_same_run(state, trace, i_state, i_trace,
+                         ["sigma", "h_domain", "h_boundary"])

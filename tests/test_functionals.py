@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dpstrf
 
@@ -331,19 +331,21 @@ def test_data_vector_matches_scalar_application(rng):
 
 
 @settings(deadline=None, max_examples=25)
-@given(st.lists(
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
     st.tuples(
         st.booleans(),
-        st.floats(min_value=-1, max_value=1, allow_nan=False),
-        st.floats(min_value=-1, max_value=1, allow_nan=False),
+        st.tuples(*[st.floats(min_value=-1, max_value=1, allow_nan=False)] * d),
     ),
-    min_size=1, max_size=20,
-))
+    min_size=0, max_size=20,
+)))
+@example([])
+@example([(True, (0.1, -0.2, 1 / 3)), (False, (-1.0, 0.5, 2**-40))])
 def test_functional_round_trip(tmp_path_factory, records):
+    # any dimension d, and no functionals at all (an empty file)
     entries = []
-    for is_boundary, a, b in records:
+    for is_boundary, point in records:
         make = boundary_delta if is_boundary else domain_op_delta
-        entries.append(make((a, b), len(entries)))
+        entries.append(make(point, len(entries)))
     path = tmp_path_factory.mktemp("io") / "funcs.txt"
     write_functionals(path, entries)
     back = read_functionals(path)
