@@ -70,7 +70,7 @@ CATALOGUE = [
     Mutant("data-length-unchecked", _src("solver.py"),
            "if data.shape != (n,):", "if False:"),
     Mutant("extended-rule-strict", _src("engine.py"),
-           "on_boundary = z_max >= y_max", "on_boundary = z_max > y_max"),
+           "bmax >= float(y_power.max())", "bmax > float(y_power.max())"),
     Mutant("deflation-unclamped", _src("engine.py"),
            "    np.maximum(power, 0.0, out=power)\n", ""),
     Mutant("select-threshold-strict", _src("engine.py"),
@@ -119,8 +119,8 @@ CATALOGUE = [
            "h[is_boundary] = float(nearest[own].max())",
            "h[is_boundary] = float(nearest.max())"),
     Mutant("bmax-before-extend", _src("engine.py"),
-           'rows["bmax"].append(float(state.residual_power[bnd_idx].max())',
-           'rows["bmax"].append(float(state.diag[bnd_idx].max())'),
+           'bmax = float(state.residual_power[bnd_idx].max())',
+           'bmax = float(state.diag[bnd_idx].max())'),
     Mutant("negative-floor-1e-2", _src("engine.py"),
            "_NEGATIVE_FLOOR = 1e-6", "_NEGATIVE_FLOOR = 1e-2"),
     Mutant("checksum-names-unchecked", _src("runio.py"),
@@ -136,9 +136,7 @@ CATALOGUE = [
            "if pivots.min() <= 1e-7 * pivots.max():",
            "if pivots.min() <= 1e-3 * pivots.max():"),
     Mutant("y-size-unclamped", _src("cli.py"),
-           "y_size = min(cfg.y_size, grid.n_interior)", "y_size = cfg.y_size",
-           equivalent="np.linspace over more points than the interior, after "
-                      "np.unique, already gives every interior index"),
+           "y_size = min(cfg.y_size, grid.n_interior)", "y_size = cfg.y_size"),
     Mutant("table-quarter-full-to-half", _src("functionals.py"),
            "if 4 * (self._size + len(keys)) > len(self._keys):",
            "if 2 * (self._size + len(keys)) > len(self._keys):",
@@ -169,6 +167,12 @@ CATALOGUE = [
            '["%.17g"] * (table.shape[-1] - 1)', '["%.16g"] * (table.shape[-1] - 1)'),
     Mutant("dump-pairs-no-trailing-newline", _src("config.py"),
            "for k, v in pairs.items())", "for k, v in pairs.items())[:-1]"),
+    Mutant("newton-columns-padded-to-4", _src("engine.py"),
+           "return -(-width // 8) * 8", "return -(-width // 4) * 4"),
+    Mutant("newton-columns-unpadded", _src("engine.py"),
+           "return -(-width // 8) * 8", "return width"),
+    Mutant("npy-version-unchecked", _src("runio.py"),
+           "if version != (1, 0):", "if False:"),
 ]
 
 

@@ -135,14 +135,14 @@ def _read_c_matrix(path: str) -> np.ndarray:
     return cmat
 
 
-def _stored_value_blocks(values_path: str, shape, blocks):
+def _stored_value_blocks(values_path: str, shape):
     with _naming(values_path):
-        yield from runio.read_grid_blocks(values_path, shape, blocks)
+        yield from runio.read_grid_blocks(values_path, shape)
 
 
 def _basis_value_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
     """(blocks, source): the basis values on the points as (J, values[:, J])
-    per block J of solver.grid_blocks, and a name for where they come from.
+    per block J of the build's grid pass, and a name for where they come from.
 
     When the basis directory holds gridbasis.npy with gridbasis.crc32, and
     its build grid (the x1,x2 columns of powergrid.csv) is exactly these
@@ -164,9 +164,7 @@ def _basis_value_blocks(basis_dir: str, state: GreedyState, points: np.ndarray):
         stored = table[:, :2]
         if stored.shape == points.shape and stored.tobytes() == points.tobytes():
             _read_artifact(runio.check_checksums, crc_path, (values_path, cmat_path))
-            blocks = _stored_value_blocks(values_path, (state.n, len(points)),
-                                          solver.grid_blocks(len(points)))
-            return blocks, values_path
+            return _stored_value_blocks(values_path, (state.n, len(points))), values_path
     selected_path = os.path.join(basis_dir, "selected.txt")
     return (solver.basis_value_blocks(state, points),
             f"{cmat_path} and the representer rows of {selected_path}")

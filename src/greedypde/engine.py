@@ -5,9 +5,10 @@ coefficient matrix C expressing the orthonormal functionals in terms of the
 selected ones (mu_k = sum_{j<=k} C[k,j] lam_{sel_j}), one "Newton column"
 (lam, mu_k) per step over the whole candidate set, and the residual powers
 P^2(lam) = (lam,lam) - sum_k (lam,mu_k)^2 that drive selection.  Bulk storage
-is (N+2)|Lambda| floats plus C; the candidate set itself is
-d + 1 floats and a flag per candidate (FunctionalSet's packed arrays), with
-no Python object per candidate.  The Newton columns at the selected indices
+is (N+2)|Lambda| floats plus C, the Newton columns zero-padded to a width
+that is a multiple of 8 (_padded); the candidate set itself is d + 1 floats
+and a flag per candidate (FunctionalSet's packed arrays), with no Python
+object per candidate.  The Newton columns at the selected indices
 form L = C^{-1}, the Cholesky factor of the selected Gram matrix (Mueller &
 Schaback 2009): row k of L is (lam_{sel_k}, mu_j) for j <= k, which extend
 gathers anyway for its projection.
@@ -92,6 +93,14 @@ _INITIAL_CAPACITY = 16
 # largest grid array any of them holds.
 BLOCK = 512
 
+
+def _padded(width: int) -> int:
+    """width rounded up to a multiple of 8.  On the tested OpenBLAS, a GEMV
+    over a row-major operand of such a width has the same bits at 1 and 2
+    threads, so the Newton columns are stored that wide, zero past |Lambda|."""
+    return -(-width // 8) * 8
+
+
 # Selected functionals of one kind per radial call in basis_value_blocks:
 # one call per functional pays the per-call overhead once per row, while
 # more than 4 per call make the call's temporaries outgrow a solve's block
@@ -115,7 +124,7 @@ class GreedyState:
         self.selected: list[int] = []
         # operator-delta pair values, shared by every column of the run
         self.dd_table = BilaplacianTable(spec)
-        self._columns = np.zeros((rows, len(fset)))
+        self._columns = np.zeros((rows, _padded(len(fset))))
         self._c = np.zeros((rows, rows))
 
     @property
@@ -127,7 +136,7 @@ class GreedyState:
         """(N, |Lambda|) matrix; row k holds (lam, mu_k) over the set.  A
         restored state, and the state that run returns, hold none (0 rows):
         run frees them after its last step."""
-        return self._columns[: self.n]
+        return self._columns[: self.n, : len(self.fset)]
 
     def c_matrix(self) -> np.ndarray:
         """The coefficient matrix as a read-only view of the leading N x N
@@ -166,7 +175,7 @@ class GreedyState:
         n = self.n
         if n == len(self._columns):
             cap = max(2 * n, _INITIAL_CAPACITY)
-            columns = np.zeros((cap, len(self.fset)))
+            columns = np.zeros((cap, self._columns.shape[1]))
             columns[:n] = self._columns[:n]
             c = np.zeros((cap, cap))
             c[:n, :n] = self._c[:n, :n]
@@ -255,11 +264,11 @@ def extend(state: GreedyState, chosen: int,
     w = dual_inner_column(state.fset[chosen], state.fset, state.spec,
                           state.dd_table, distances)
     proj = cols[:, chosen].copy()
-    w -= proj @ cols
+    w -= (proj @ cols)[: len(w)]
 
     c = 1.0 / math.sqrt(r)
     w *= c
-    state._columns[N] = w
+    state._columns[N, : len(w)] = w
     state._c[N, :N] = -c * (proj @ ctri)
     state._c[N, N] = c
     state.selected.append(int(chosen))
@@ -461,16 +470,14 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
          for own in kind_masks]
     nearest = np.full(len(fset), np.inf)
 
+    # the largest residual power over the boundary deltas, as the last step
+    # recorded it (NaN without one, which never prefers the boundary)
+    bmax = float(state.diag[bnd_idx].max()) if bnd_idx.size else math.nan
     rows = {k: [] for k in ("sigma", "kind", "h_domain", "h_boundary", "bmax")}
     for _ in range(n_max):
         try:
-            if mode == "extended":
-                y_max = float(y_power.max())
-                z_max = float(state.residual_power[bnd_idx].max()) if bnd_idx.size else -np.inf
-                on_boundary = z_max >= y_max
-                chosen = select_extended(state, on_boundary, stop_tol)
-            else:
-                chosen = select_standard(state, stop_tol)
+            chosen = select_extended(
+                state, mode == "extended" and bmax >= float(y_power.max()), stop_tol)
         except Converged:
             break
 
@@ -492,8 +499,8 @@ def run(fset: FunctionalSet, spec: KernelSpec, mode: str = "standard",
         rows["kind"].append("B" if is_boundary else "D")
         rows["h_domain"].append(h[0])
         rows["h_boundary"].append(h[1])
-        rows["bmax"].append(float(state.residual_power[bnd_idx].max()) if bnd_idx.size
-                            else math.nan)
+        bmax = float(state.residual_power[bnd_idx].max()) if bnd_idx.size else math.nan
+        rows["bmax"].append(bmax)
 
     n_steps = len(rows["sigma"])
     cond_c = _cond_column(state)

@@ -17,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from .engine import RunTrace
+from .engine import BLOCK, RunTrace, grid_blocks
 
 _FMT = "%.17g"
 
@@ -163,45 +163,39 @@ def write_grid_blocks(path, n_cols: int):
         yield write
 
 
-def _read_npy_header(fh) -> tuple:
-    """(shape, fortran_order, dtype) of the .npy file at fh's start; leaves
-    fh at the first data byte."""
-    try:
-        version = np.lib.format.read_magic(fh)
-        if version == (1, 0):
-            return np.lib.format.read_array_header_1_0(fh)
-        if version == (2, 0):
-            return np.lib.format.read_array_header_2_0(fh)
-    except tokenize.TokenError as exc:  # from numpy's fallback header parser
-        raise ValueError(f"unreadable array header: {exc}") from exc
-    raise ValueError(f"unsupported .npy format version {version}")
+def read_grid_blocks(path, shape):
+    """Yield (J, rows[:, J]) for each block J of engine.grid_blocks, in
+    order, from the .npy file that write_grid_blocks wrote for a 2-D,
+    C-ordered float64 array of the given shape.
 
-
-def read_grid_blocks(path, shape, blocks):
-    """Yield (J, rows[:, J]) for each column slice J of blocks, in order, from
-    a .npy file that holds a 2-D, C-ordered float64 array of the given shape.
-
-    Each block is read as one segment per row into one buffer, which the next
-    block overwrites: the caller may use a block, as scratch too, until it
-    asks for the next.  A header that does not match raises ValueError
-    before the first block, and a truncated file when the row segment that
-    it cuts is read.  The values are not checked: the caller checks the
-    file's CRC-32 before it reads (the checksum covers the header too, since
-    numpy's header parser reads some altered headers, such as other padding
-    whitespace or another spelling of the byte order, as the original), and
-    a solve checks each block's sums of squares for finiteness.
+    Each block is read as one segment per row into one N x min(P, BLOCK)
+    buffer, which the next block overwrites: the caller may use a block, as
+    scratch too, until it asks for the next.  A header that is not the
+    version 1.0 header write_grid_blocks writes, or that does not match,
+    raises ValueError before the first block, and a truncated file when the
+    row segment that it cuts is read.  The values are not checked: the
+    caller checks the file's CRC-32 before it reads (the checksum covers the
+    header too, since numpy's header parser reads some altered headers, such
+    as other padding whitespace or another spelling of the byte order, as
+    the original), and a solve checks each block's sums of squares for
+    finiteness.
     """
     with open(path, "rb", buffering=0) as fh:
-        stored, fortran_order, dtype = _read_npy_header(fh)
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"unsupported .npy format version {version}")
+            stored, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        except tokenize.TokenError as exc:  # from numpy's fallback header parser
+            raise ValueError(f"unreadable array header: {exc}") from exc
         if len(stored) != 2 or fortran_order or dtype != np.float64:
             raise ValueError("expected a 2-D, C-ordered float64 array")
         if stored != tuple(shape):
             raise ValueError(f"shape {stored}, expected {tuple(shape)}")
         n_rows, n_cols = shape
         data_start = fh.tell()
-        widest = max(j.stop - j.start for j in blocks)
-        flat = np.empty(n_rows * widest)
-        for j in blocks:
+        flat = np.empty(n_rows * min(n_cols, BLOCK))
+        for j in grid_blocks(n_cols):
             block = flat[: n_rows * (j.stop - j.start)].reshape(n_rows, j.stop - j.start)
             for k, row in enumerate(block):
                 fh.seek(data_start + 8 * (k * n_cols + j.start))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # BLOCK, grid_blocks, basis_values_in_place and basis_value_blocks are
-# re-exported: a solve walks the grid in the blocks of the build's grid
-# pass, with the pass's basis-value generator
+# re-exported: a solve that computes its basis values walks the grid with
+# the build's basis-value generator, and the tests import all four here
 from .engine import (
     BLOCK,
     GreedyState,

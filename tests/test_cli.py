@@ -369,6 +369,14 @@ def test_build_out_of_range_key_exits_2_naming_it(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_build_clamps_y_size_to_the_interior_grid(tmp_path):
+    # Y is at most the interior grid: np.linspace over a y_size this large
+    # would ask at once for petabytes, which no allocation gets
+    cfg = write_cfg(tmp_path, "domain_count = 200\nboundary_count = 24\nn_max = 10\n"
+                    "mode = extended\ngrid_spacing = 0.1\ny_size = 1000000000000000\n")
+    assert main(["build", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_build_rejects_oversized_n_max(tmp_path):
     cfg = write_cfg(tmp_path, "domain_count = 20\nboundary_count = 4\nn_max = 500\n")
     assert main(["build", "--config", cfg, "--out", str(tmp_path / "z")]) == 2
@@ -692,6 +700,38 @@ def test_basis_values_of_500_functionals_do_not_depend_on_the_blas_thread_count(
     assert crcs[0] == crcs[1]
 
 
+# The CRC-32 of the new Newton column after each of 240 standard steps on
+# the desk set at m = 6.  From N = 218 on, extend's projection GEMV over the
+# 2121 candidates is large enough for OpenBLAS to split it between threads,
+# and over that unpadded width the last candidate's entry took other bits at
+# 1 and 2 threads; the state pads the columns to a multiple of 8.
+_NEWTON_COLUMN_CHILD = """\
+import zlib
+from greedypde.engine import extend, init, select_standard
+from greedypde.functionals import disk_functional_set
+from greedypde.geometry import disk_candidates
+from greedypde.kernels import KernelSpec
+state = init(disk_functional_set(disk_candidates(2000, 120)), KernelSpec(m=6, d=2))
+for _ in range(240):
+    extend(state, select_standard(state))
+    print(zlib.crc32(state.newton_columns[-1].tobytes()))
+"""
+
+
+def test_newton_columns_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(greedypde.solver.__file__))
+    crcs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        child = subprocess.run([sys.executable, "-c", _NEWTON_COLUMN_CHILD],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr
+        crcs.append(child.stdout.split())
+    assert len(crcs[0]) == 240
+    differ = [k for k, (a, b) in enumerate(zip(*crcs), start=1) if a != b]
+    assert not differ, f"steps {differ} differ"
+
+
 def test_solve_holds_at_most_two_basis_sized_arrays(tmp_path):
     # a fine grid makes two N x P arrays far larger than the block budget
     cfg = write_cfg(tmp_path, SMALL_CFG.replace("grid_spacing = 0.08", "grid_spacing = 0.02"))
@@ -983,6 +1023,16 @@ def _edit_npy(edit):
     return corrupt
 
 
+def _npy_version_2(data):
+    """The same array behind the version 2.0 header, which numpy reads and
+    write_grid_blocks never writes."""
+    rows = np.load(io.BytesIO(data))
+    out = io.BytesIO()
+    np.lib.format.write_array_header_2_0(out, np.lib.format.header_data_from_array_1_0(rows))
+    out.write(rows.tobytes())
+    return out.getvalue()
+
+
 def _set_nan(rows):
     rows[3, 5] = np.nan
     return rows
@@ -1066,6 +1116,8 @@ def _flip_first_checksum(text):
     ("solve", "gridbasis.npy", _edit_npy(_set_nan)),
     ("solve", "gridbasis.npy", _edit_npy(lambda rows: rows.astype(object))),
     ("solve", "gridbasis.npy", lambda b: b[:8] + bytes([1]) + b[9:]),
+    ("solve", "gridbasis.npy", _npy_version_2),
+    ("solve", "gridbasis.npy", lambda b: b[:7] + bytes([1]) + b[8:]),
     ("solve", "cmatrix.csv", lambda t: ""),
     ("solve", "powergrid.csv", lambda t: t.splitlines(True)[0]),
     ("solve", "gridbasis.crc32", _flip_first_checksum),
@@ -1086,7 +1138,8 @@ def _flip_first_checksum(text):
         "kernel-no-scale", "kernel-unknown-key", "kernel-float-m",
         "trace-bad-header", "trace-short-row", "trace-no-rows",
         "selected-nan-coordinate", "gridrows-truncated", "gridrows-row-count",
-        "gridrows-nan", "gridrows-pickled", "gridrows-header-length", "cmatrix-empty",
+        "gridrows-nan", "gridrows-pickled", "gridrows-header-length",
+        "gridrows-version-2", "gridrows-version-1-1", "cmatrix-empty",
         "powergrid-no-rows", "gridrows-wrong-checksum", "gridrows-non-numeric-checksum",
         "checksum-line-missing", "checksum-line-extra", "gridrows-fortran-order",
         "cmatrix-directory", "selected-directory", "gridrows-directory",

@@ -605,12 +605,15 @@ def test_storage_counter_linear_in_steps():
         extend(state, select_standard(state))
         if step in (25, 50):
             counts[step] = state.bulk_float_count()
-    # bulk arrays are the Newton columns and C at the state's capacity (32
-    # rows at 25 steps, 64 at 50) and two |Lambda| vectors, which stay
-    # within a small constant of the (N+2)|Lambda| contract
+    # bulk arrays are the Newton columns (|Lambda| zero-padded to a multiple
+    # of 8) and C at the state's capacity (32 rows at 25 steps, 64 at 50) and
+    # two |Lambda| vectors, which stay within a small constant of the
+    # (N+2)|Lambda| contract
+    padded = n + (-n) % 8
+    assert padded > n
     for step, floats in counts.items():
         cap = 32 if step == 25 else 64
-        assert floats == cap * n + cap**2 + 2 * n
+        assert floats == cap * padded + cap**2 + 2 * n
         assert floats <= 2.5 * (step + 2) * n + 4 * step**2
     assert counts[50] <= 2.2 * counts[25]
 

@@ -51,7 +51,7 @@ def test_mutant_catalogue_edits_the_tree(tmp_path):
         spec.loader.exec_module(mutants)
     finally:
         del sys.modules["mutants"]
-    assert len(mutants.CATALOGUE) == len({m.name for m in mutants.CATALOGUE}) == 46
+    assert len(mutants.CATALOGUE) == len({m.name for m in mutants.CATALOGUE}) == 49
     for m in mutants.CATALOGUE:
         target = tmp_path / m.name / m.path
         target.parent.mkdir(parents=True)
